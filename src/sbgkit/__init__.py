@@ -23,7 +23,6 @@ from .ics import (
     color_table,
     is_ics,
     motif_class_sets,
-    seepage_coloring,
     signatures,
 )
 from .encode import (
@@ -110,7 +109,6 @@ __all__ = [
     "pos",
     "saturate",
     "sbg_node",
-    "seepage_coloring",
     "signatures",
     "solve",
     "verify",

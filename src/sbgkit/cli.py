@@ -1,7 +1,8 @@
 """Command-line front end: sbgkit <subcommand>.
 
-Exit codes: 0 success (for `verify`: proof accepted), 1 failed check or
-rejected proof, 2 malformed input, 3 solver resource limit.
+Exit codes: 0 success (for `verify`: proof accepted), 1 failed check,
+rejected proof or unreadable file, 2 malformed input, 3 solver resource
+limit.  Every error is reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -17,14 +18,15 @@ from .graph import Graph, GraphError, build_sbg, bits, is_sbg, parse_edge_list, 
 from .ics import color_table, is_ics, motif_class_sets, signatures
 from .encode import (
     Assignment,
+    EncodeError,
     OpbError,
     encode_ics,
     parse_opb,
     write_opb,
 )
-from .oracle import classify_solutions, count_ics
+from .oracle import OracleError, classify_solutions, count_ics
 from .proof import ProofParseError, VerifyError, parse_proof, verify
-from .solve import SolveLimitReached, enumerate_all, solve
+from .solve import SolveError, SolveLimitReached, enumerate_all, solve
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -34,10 +36,6 @@ EXIT_LIMIT = 3
 
 def _load_graph(path: str) -> Graph:
     return parse_edge_list(Path(path).read_text())
-
-
-def _name_table_lines(names: tuple[str, ...]) -> str:
-    return "\n".join(f"* name x{i + 1} {n}" for i, n in enumerate(names)) + "\n"
 
 
 def _witness_line(a: Assignment) -> str:
@@ -66,8 +64,7 @@ def _cmd_build_sbg(args) -> int:
     text = write_edge_list(g)
     if args.out:
         Path(args.out).write_text(text)
-        Path(args.out + ".names").write_text(_name_table_lines(g.names()))
-        print(f"wrote {args.out} ({g.n} nodes, {g.edge_count} edges) and {args.out}.names")
+        print(f"wrote {args.out} ({g.n} nodes, {g.edge_count} edges)")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -96,25 +93,13 @@ def _cmd_color(args) -> int:
 def _cmd_encode(args) -> int:
     g = _load_graph(args.graph)
     f = encode_ics(g, args.budget, exact=args.exact)
-    text = write_opb(f)
-    Path(args.out).write_text(text)
-    names = f.names or tuple(f"x{i+1}" for i in range(f.num_vars))
-    Path(args.out + ".names").write_text(_name_table_lines(names))
+    Path(args.out).write_text(write_opb(f))
     print(f"wrote {args.out}: {len(f.constraints)} constraints over {f.num_vars} variables")
     return EXIT_OK
 
 
 def _cmd_solve(args) -> int:
-    try:
-        f = parse_opb(Path(args.opb).read_text())
-    except OpbError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        res = solve(f)
-    except SolveLimitReached as exc:
-        print(f"s UNKNOWN ({exc})")
-        return EXIT_LIMIT
+    res = solve(parse_opb(Path(args.opb).read_text()))
     if res.is_sat:
         print("s SATISFIABLE")
         print(_witness_line(res.witness))
@@ -129,27 +114,18 @@ def _parse_projection(f, selector: str | None) -> list[int] | None:
     want = [s.strip() for s in selector.split(",") if s.strip()]
     out = []
     for token in want:
-        if token.startswith("x") and token[1:].isdigit():
+        if token.startswith("x") and token[1:].isdecimal():
             out.append(int(token[1:]))
         elif f.names and token in f.names:
             out.append(f.names.index(token) + 1)
         else:
-            raise OpbError(0, f"unknown projection variable {token!r}")
+            raise EncodeError(f"unknown projection variable {token!r}")
     return out
 
 
 def _cmd_enumerate(args) -> int:
-    try:
-        f = parse_opb(Path(args.opb).read_text())
-        proj = _parse_projection(f, args.project)
-    except OpbError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        sols = enumerate_all(f, proj)
-    except SolveLimitReached as exc:
-        print(f"s UNKNOWN ({exc})")
-        return EXIT_LIMIT
+    f = parse_opb(Path(args.opb).read_text())
+    sols = enumerate_all(f, _parse_projection(f, args.project))
     print(f"c {len(sols)} solutions")
     lines = []
     for a in sols:
@@ -162,21 +138,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        f = parse_opb(Path(args.opb).read_text())
-    except OpbError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        steps = parse_proof(Path(args.proof).read_text())
-    except ProofParseError as exc:
-        print(f"proof parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        outcome = verify(f, steps)
-    except VerifyError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    f = parse_opb(Path(args.opb).read_text())
+    outcome = verify(f, parse_proof(Path(args.proof).read_text()))
     print(f"s VERIFIED (contradiction id {outcome.contradiction_id})")
     return EXIT_OK
 
@@ -333,10 +296,18 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (GraphError, OpbError, ProofParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except SolveLimitReached as exc:
+        print(f"s UNKNOWN ({exc})")
+        return EXIT_LIMIT
+    except (
+        GraphError, OpbError, ProofParseError, EncodeError, OracleError, UnicodeDecodeError
+    ) as exc:
+        print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except OSError as exc:
+    except VerifyError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except (SolveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

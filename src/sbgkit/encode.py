@@ -112,19 +112,6 @@ class LinearConstraint:
         return f"{lhs + ' ' if lhs else ''}>= {self.degree}"
 
 
-def constraint(terms: Iterable[tuple[int, Literal]], degree: int) -> LinearConstraint:
-    """Build a normalized constraint from possibly signed, repeated terms."""
-    signed: dict[int, int] = {}
-    rhs = degree
-    for coef, lit in terms:
-        if lit.negated:
-            signed[lit.var] = signed.get(lit.var, 0) - coef
-            rhs -= coef
-        else:
-            signed[lit.var] = signed.get(lit.var, 0) + coef
-    return from_signed(signed, rhs)
-
-
 def from_signed(signed: Mapping[int, int], rhs: int) -> LinearConstraint:
     """Normalize a signed-coefficient inequality ``sum c_v x_v >= rhs``."""
     out = []
@@ -194,21 +181,10 @@ class Assignment:
     def total(cls, values: Sequence[int]) -> Assignment:
         return cls(len(values), tuple(values))
 
-    @classmethod
-    def from_true_vars(cls, num_vars: int, true_vars: Iterable[int]) -> Assignment:
-        vals = [0] * num_vars
-        for var in true_vars:
-            vals[var - 1] = 1
-        return cls(num_vars, tuple(vals))
-
     def value(self, var: int) -> int | None:
         if not 1 <= var <= self.num_vars:
             raise EncodeError(f"variable x{var} out of range")
         return self.values[var - 1]
-
-    @property
-    def is_total(self) -> bool:
-        return all(v is not None for v in self.values)
 
     def true_vars(self) -> tuple[int, ...]:
         return tuple(i + 1 for i, v in enumerate(self.values) if v == 1)
@@ -264,16 +240,8 @@ class PBFormula:
         if self.names is not None and len(self.names) != self.num_vars:
             raise EncodeError("names length must equal num_vars")
 
-    def var_name(self, var: int) -> str:
-        if self.names is None:
-            return f"x{var}"
-        return self.names[var - 1]
-
     def satisfied_by(self, a: Assignment) -> bool:
         return all(evaluate(c, a) for c in self.constraints)
-
-    def extended(self, extra: Iterable[LinearConstraint]) -> PBFormula:
-        return PBFormula(self.num_vars, self.constraints + tuple(extra), self.names)
 
 
 def encode_ics(g: Graph, budget: int, exact: bool = False) -> PBFormula:
@@ -345,7 +313,7 @@ def blocking_constraint(
 
 
 _HEADER_RE = re.compile(r"\*\s*#variable=\s*(\d+)\s+#constraint=\s*(\d+)\s*$")
-_VAR_RE = re.compile(r"(~?)x(\d+)$")
+_VAR_RE = re.compile(r"(~?)x([1-9]\d*)$")
 _INT_RE = re.compile(r"[+-]?\d+$")
 
 

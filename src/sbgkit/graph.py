@@ -166,14 +166,6 @@ class Graph:
 
     # -- names and labels --------------------------------------------------
 
-    @property
-    def labels(self) -> tuple[object, ...]:
-        return self._labels
-
-    def label(self, v: int):
-        self._check(v)
-        return self._labels[v]
-
     def node_name(self, v: int) -> str:
         self._check(v)
         return str(self._labels[v])

@@ -16,7 +16,11 @@ from .graph import Graph, GraphError, bits, mask_of, sbg_node, _pos
 
 
 def signatures(g: Graph, code: int) -> tuple[int, ...]:
-    """Per-node signatures ``N+(v) & code``, indexed by node id."""
+    """Per-node signatures ``N+(v) & code``, indexed by node id.
+
+    These are also the seepage colors: the colors reaching each node when
+    distinct colors are injected at the members of *code*.
+    """
     if code >> g.n:
         raise GraphError("code set contains nodes outside the graph")
     return tuple(g.closed_neighborhood(v) & code for v in range(g.n))
@@ -38,16 +42,6 @@ def is_ics(g: Graph, code: int, require_domination: bool = True) -> bool:
     return True
 
 
-def seepage_coloring(g: Graph, injected: int) -> tuple[int, ...]:
-    """Colors reaching each node when distinct colors are injected at *injected*.
-
-    Injecting a color at a node also colors all its neighbors, so the color
-    set at ``v`` is exactly ``N+(v) & injected``; this is signatures() under
-    another name, kept so callers can render injection tables.
-    """
-    return signatures(g, injected)
-
-
 def color_table(g: Graph, injected: int) -> list[tuple[str, str]]:
     """Render a seepage coloring as ``(node name, color string)`` rows.
 
@@ -61,7 +55,7 @@ def color_table(g: Graph, injected: int) -> list[tuple[str, str]]:
         raise GraphError("star notation supports at most 26 injected nodes")
     letter = {v: string.ascii_uppercase[i] for i, v in enumerate(members)}
     rows = []
-    for v, sig in enumerate(seepage_coloring(g, injected)):
+    for v, sig in enumerate(signatures(g, injected)):
         cell = "".join(
             letter[u] + ("*" if u == v else "") for u in bits(sig)
         )

@@ -19,7 +19,6 @@ are recognized and rejected loudly, never skipped.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -30,6 +29,8 @@ from .encode import (
     from_signed,
     parse_constraint_tokens,
     OpbError,
+    _INT_RE,
+    _VAR_RE,
 )
 from .solve import propagates_to_conflict
 
@@ -127,44 +128,50 @@ class ProofStep:
     line_no: int
     index: int = 0  # load: formula constraint number; contradiction: claimed id
     constraint: LinearConstraint | None = None  # rup payload
-    tokens: tuple[str, ...] = ()  # polish payload
+    tokens: tuple[tuple[str, object], ...] = ()  # polish payload: typed RPN ops
 
 
-_LITERAL_TOKEN_RE = re.compile(r"~?x\d+$")
+def _parse_polish(tokens: Sequence[str], line_no: int) -> tuple[tuple[str, object], ...]:
+    """Typed RPN ops for a ``p`` body, with the stack discipline checked.
 
-
-def _check_polish(tokens: Sequence[str], line_no: int) -> None:
-    """Static stack-discipline check of an RPN token list.
-
-    Repeated-variable products (nonlinear terms) cannot be expressed in this
-    grammar at all, so the idempotence axiom never comes into play.
+    Ops are ``("id", cid)``, ``("lit", Literal)``, ``("+", None)``,
+    ``("s", None)`` and ``("*", k)``/``("d", k)``; the sign of k is checked
+    at replay.  Repeated-variable products (nonlinear terms) cannot be
+    expressed in this grammar at all, so the idempotence axiom never comes
+    into play.
     """
+    ops: list[tuple[str, object]] = []
     depth = 0
     i = 0
     while i < len(tokens):
         tok = tokens[i]
         lookahead = tokens[i + 1] if i + 1 < len(tokens) else None
-        if tok.lstrip("+-").isdigit() and lookahead in ("*", "d"):
-            # scalar operand of a multiply/divide; value checked at replay
+        if _INT_RE.match(tok) and lookahead in ("*", "d"):
             if depth < 1:
                 raise ProofParseError(line_no, f"'{lookahead}' with empty stack")
+            ops.append((lookahead, int(tok)))
             i += 2
             continue
         if tok == "+":
             if depth < 2:
                 raise ProofParseError(line_no, "'+' needs two stack entries")
             depth -= 1
+            ops.append(("+", None))
         elif tok == "s":
             if depth < 1:
                 raise ProofParseError(line_no, "'s' with empty stack")
+            ops.append(("s", None))
         elif tok == "*" or tok == "d":
             raise ProofParseError(line_no, f"'{tok}' without preceding integer")
-        elif _LITERAL_TOKEN_RE.match(tok):
+        elif m := _VAR_RE.match(tok):
             depth += 1
-        elif tok.lstrip("+-").isdigit():
-            if int(tok) < 1:
+            ops.append(("lit", Literal(int(m.group(2)), bool(m.group(1)))))
+        elif _INT_RE.match(tok):
+            cid = int(tok)
+            if cid < 1:
                 raise ProofParseError(line_no, f"bad constraint id {tok!r}")
             depth += 1
+            ops.append(("id", cid))
         else:
             raise ProofParseError(line_no, f"unknown token {tok!r}")
         i += 1
@@ -172,6 +179,7 @@ def _check_polish(tokens: Sequence[str], line_no: int) -> None:
         raise ProofParseError(
             line_no, f"derivation leaves {depth} stack entries, expected 1"
         )
+    return tuple(ops)
 
 
 def parse_proof(text: str) -> list[ProofStep]:
@@ -200,19 +208,18 @@ def parse_proof(text: str) -> list[ProofStep]:
                 raise ProofParseError(line_no, f"bad 'u' constraint: {exc.message}") from None
             steps.append(ProofStep("rup", line_no, constraint=parsed[0]))
         elif directive == "l":
-            if not rest.isdigit() or int(rest) < 1:
+            if not rest.isdecimal() or int(rest) < 1:
                 raise ProofParseError(line_no, f"'l' expects a 1-based index, got {rest!r}")
             steps.append(ProofStep("load", line_no, index=int(rest)))
         elif directive == "p":
             tokens = rest.split()
             if not tokens or tokens[-1] != "0":
                 raise ProofParseError(line_no, "'p' derivation must end with 0")
-            body = tuple(tokens[:-1])
-            _check_polish(body, line_no)
-            steps.append(ProofStep("polish", line_no, tokens=body))
+            ops = _parse_polish(tokens[:-1], line_no)
+            steps.append(ProofStep("polish", line_no, tokens=ops))
         elif directive == "c":
             parts = rest.split()
-            if len(parts) != 2 or parts[1] != "0" or not parts[0].isdigit():
+            if len(parts) != 2 or parts[1] != "0" or not parts[0].isdecimal():
                 raise ProofParseError(line_no, "'c' expects '<id> 0'")
             steps.append(ProofStep("contradiction", line_no, index=int(parts[0])))
         elif directive in _UNSUPPORTED:
@@ -235,11 +242,13 @@ class ConstraintDb:
 
     constraints: dict[int, LinearConstraint] = field(default_factory=dict)
     next_id: int = 1
+    max_var: int = 0  # widest variable of any stored constraint
 
     def store(self, c: LinearConstraint) -> int:
         cid = self.next_id
         self.constraints[cid] = c
         self.next_id += 1
+        self.max_var = max(self.max_var, c.max_var())
         return cid
 
     def fetch(self, cid: int, line_no: int) -> LinearConstraint:
@@ -259,36 +268,24 @@ class Verification:
 
 
 def _replay_polish(
-    tokens: Sequence[str], db: ConstraintDb, line_no: int
+    ops: Sequence[tuple[str, object]], db: ConstraintDb, line_no: int
 ) -> LinearConstraint:
     stack: list[LinearConstraint] = []
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        lookahead = tokens[i + 1] if i + 1 < len(tokens) else None
-        if tok.lstrip("+-").isdigit() and lookahead in ("*", "d"):
-            alpha = int(tok)
-            top = stack.pop()
-            try:
-                result = multiply(top, alpha) if lookahead == "*" else divide(top, alpha)
-            except ValueError as exc:
-                raise VerifyError(line_no, lookahead, str(exc)) from None
-            stack.append(result)
-            i += 2
-            continue
-        if tok == "+":
+    for op, arg in ops:
+        if op == "id":
+            stack.append(db.fetch(arg, line_no))
+        elif op == "lit":
+            stack.append(axiom_literal(arg))
+        elif op == "+":
             b = stack.pop()
-            a = stack.pop()
-            stack.append(add(a, b))
-        elif tok == "s":
+            stack.append(add(stack.pop(), b))
+        elif op == "s":
             stack.append(saturate(stack.pop()))
-        elif _LITERAL_TOKEN_RE.match(tok):
-            negated = tok.startswith("~")
-            var = int((tok[1:] if negated else tok)[1:])
-            stack.append(axiom_literal(Literal(var, negated)))
         else:
-            stack.append(db.fetch(int(tok), line_no))
-        i += 1
+            try:
+                stack.append((multiply if op == "*" else divide)(stack.pop(), arg))
+            except ValueError as exc:
+                raise VerifyError(line_no, op, str(exc)) from None
     return stack[0]
 
 
@@ -321,7 +318,7 @@ def verify(f: PBFormula, steps: Iterable[ProofStep]) -> Verification:
             assert step.constraint is not None
             assumption = negation_of(step.constraint)
             pool = list(db.constraints.values()) + [assumption]
-            if not propagates_to_conflict(pool, max(f.num_vars, step.constraint.max_var())):
+            if not propagates_to_conflict(pool, max(db.max_var, step.constraint.max_var())):
                 raise VerifyError(
                     step.line_no,
                     "u",

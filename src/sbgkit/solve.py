@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .encode import (
     Assignment,
+    EncodeError,
     LinearConstraint,
     PBFormula,
     blocking_constraint,
@@ -81,7 +82,6 @@ class _Engine:
         self.occ: list[list[int]] = [[] for _ in range(num_vars)]
         self.trail: list[int] = []
         self.stats = SolveStats()
-        self.root_conflict = False
 
     def add_constraint(self, c: LinearConstraint) -> None:
         """Attach a constraint, with slack computed under the current assignment."""
@@ -108,8 +108,6 @@ class _Engine:
         self.slack.append(slack)
         self.need.append(need)
         self.unassigned.append(una)
-        if slack < 0:
-            self.root_conflict = True
 
     def assign(self, v: int, b: int) -> None:
         self.val[v] = b
@@ -133,43 +131,39 @@ class _Engine:
         for ci in self.occ[v]:
             unassigned[ci] += 1
 
-    def propagate(self, start: int) -> bool:
-        """Counting propagation to fixpoint from trail position *start*."""
+    def force(self, entries) -> bool:
+        """Force the literals that the constraints in *entries* imply.
+
+        *entries* yields ``(ci, _)`` pairs; False on a negative-slack conflict.
+        """
         val, slack, need = self.val, self.slack, self.need
         terms, maxcoef = self.terms, self.maxcoef
-        qi = start
-        while qi < len(self.trail):
-            v = self.trail[qi]
-            qi += 1
-            b = val[v]
-            for ci, coef in self.fal[v][b]:
-                s = slack[ci]
-                if s < 0:
-                    self.stats.conflicts += 1
-                    return False
-                if s < maxcoef[ci] and need[ci] > 0:
-                    for coef2, v2, negated2 in terms[ci]:
-                        if val[v2] == -1 and coef2 > s:
-                            self.assign(v2, 0 if negated2 else 1)
-                            self.stats.propagations += 1
-        return True
-
-    def root_propagate(self) -> bool:
-        """Initial forcing pass over all constraints, then fixpoint."""
-        if self.root_conflict:
-            self.stats.conflicts += 1
-            return False
-        for ci in range(len(self.terms)):
-            s = self.slack[ci]
+        for ci, _ in entries:
+            s = slack[ci]
             if s < 0:
                 self.stats.conflicts += 1
                 return False
-            if s < self.maxcoef[ci] and self.need[ci] > 0:
-                for coef, v, negated in self.terms[ci]:
-                    if self.val[v] == -1 and coef > s:
+            if s < maxcoef[ci] and need[ci] > 0:
+                for coef, v, negated in terms[ci]:
+                    if val[v] == -1 and coef > s:
                         self.assign(v, 0 if negated else 1)
                         self.stats.propagations += 1
-        return self.propagate(0)
+        return True
+
+    def propagate(self, start: int) -> bool:
+        """Counting propagation to fixpoint from trail position *start*."""
+        trail, val, fal = self.trail, self.val, self.fal
+        qi = start
+        while qi < len(trail):
+            v = trail[qi]
+            qi += 1
+            if not self.force(fal[v][val[v]]):
+                return False
+        return True
+
+    def root_propagate(self) -> bool:
+        """Forcing pass over every constraint, then fixpoint."""
+        return self.force(enumerate(self.terms)) and self.propagate(0)
 
     def pick_branch(self) -> tuple[int, bool] | None:
         """Branch literal, or None when every constraint is satisfied."""
@@ -242,9 +236,9 @@ class _Engine:
                     conflict = not self.propagate(len(self.trail) - 1)
 
 
-def _engine_for(f: PBFormula) -> _Engine:
-    eng = _Engine(f.num_vars)
-    for c in f.constraints:
+def _engine_for(num_vars: int, constraints) -> _Engine:
+    eng = _Engine(num_vars)
+    for c in constraints:
         eng.add_constraint(c)
     return eng
 
@@ -255,7 +249,7 @@ def solve(f: PBFormula, node_limit: int = DEFAULT_NODE_LIMIT) -> SolveResult:
     Raises SolveLimitReached when the decision cap is exceeded, which is an
     inconclusive outcome distinct from UNSAT.
     """
-    eng = _engine_for(f)
+    eng = _engine_for(f.num_vars, f.constraints)
     found: list[Assignment] = []
 
     def on_model(model: list[int]) -> None:
@@ -282,17 +276,19 @@ def enumerate_all(
     Each model found is excluded by a blocking constraint over the projection
     variables and the search continues until unsatisfiable, so the result is
     exactly one assignment per distinct projection.  Every full model is
-    validated against the original formula before being reported.
+    validated against the original formula before being reported.  A
+    projection that repeats a variable or leaves 1..num_vars raises
+    EncodeError.
     """
     proj = tuple(projection) if projection is not None else tuple(
         range(1, f.num_vars + 1)
     )
     if len(set(proj)) != len(proj):
-        raise SolveError("projection variables must be distinct")
+        raise EncodeError("projection variables must be distinct")
     for var in proj:
         if not 1 <= var <= f.num_vars:
-            raise SolveError(f"projection variable x{var} out of range")
-    eng = _engine_for(f)
+            raise EncodeError(f"projection variable x{var} out of range")
+    eng = _engine_for(f.num_vars, f.constraints)
     full_models: list[Assignment] = []
 
     def on_model(model: list[int]) -> None:
@@ -323,9 +319,4 @@ def propagates_to_conflict(
     no decisions; it backs the reverse-unit-propagation checks of the proof
     verifier.
     """
-    eng = _Engine(num_vars)
-    for c in constraints:
-        if c.contradiction:
-            return True
-        eng.add_constraint(c)
-    return not eng.root_propagate()
+    return not _engine_for(num_vars, constraints).root_propagate()

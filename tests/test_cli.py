@@ -1,9 +1,11 @@
 import json
+import random
 
 import pytest
 
 from sbgkit.cli import main
-from sbgkit.fixtures import EXAMPLE_UNSAT_OPB, EXAMPLE_UNSAT_PROOF
+from sbgkit.fixtures import EXAMPLE_UNSAT_OPB, EXAMPLE_UNSAT_PROOF, example_graph
+from sbgkit.graph import write_edge_list
 
 
 @pytest.fixture()
@@ -16,11 +18,11 @@ def sbg_file(tmp_path):
 def test_build_sbg_writes_edge_list_and_names(tmp_path, capsys):
     out = tmp_path / "edges.txt"
     assert main(["build-sbg", "--out", str(out)]) == 0
-    text = out.read_text()
-    assert len([l for l in text.splitlines() if " " in l and not l.startswith("#")]) == 90
-    names = (tmp_path / "edges.txt.names").read_text()
-    assert "* name x1 P1_1" in names
-    assert "* name x32 P6_1" in names
+    lines = out.read_text().splitlines()
+    assert len([l for l in lines if " " in l and not l.startswith("#")]) == 90
+    # the node declarations up front are the name table, in id order
+    assert lines[1] == "P1_1" and lines[32] == "P6_1"
+    assert [p.name for p in tmp_path.iterdir()] == ["edges.txt"]
 
 
 def test_check_ics(sbg_file, capsys):
@@ -45,9 +47,9 @@ def test_encode_reports_273(sbg_file, tmp_path, capsys):
         "encode", "--graph", str(sbg_file), "--budget", "9", "--out", str(opb),
     ]) == 0
     assert "273 constraints" in capsys.readouterr().out
-    header = opb.read_text().splitlines()[0]
-    assert header == "* #variable= 32 #constraint= 273"
-    assert (tmp_path / "sbg9.opb.names").exists()
+    lines = opb.read_text().splitlines()
+    assert lines[0] == "* #variable= 32 #constraint= 273"
+    assert lines[1] == "* name x1 P1_1" and lines[32] == "* name x32 P6_1"
 
 
 def test_solve_and_enumerate_small(tmp_path, capsys):
@@ -115,3 +117,116 @@ def test_oracle_classify_requires_sbg(tmp_path, capsys):
 
 def test_missing_graph_file_is_reported(capsys):
     assert main(["check-ics", "--graph", "/nonexistent", "--set", "a"]) == 1
+
+
+# -- every failure is one stderr line and a documented exit code -----------------
+
+PROOF_HEADER = "pseudo-Boolean proof version 1.0\n"
+SMALL_GRAPH = "a\nb\nc\na b\nb c\n"
+
+REPROS = [
+    # (name, files written to tmp_path, argv, exit code)
+    (
+        "derived constraint wider than the formula",
+        {"p.pbp": PROOF_HEADER + "l 1\np 1 x999 + 0\nu +1 x1 >= 1 ;\n"},
+        ["verify", "ex.opb", "p.pbp"],
+        1,
+    ),
+    ("x0 in OPB", {"x0.opb": "* #variable= 1 #constraint= 1\n+1 x0 >= 1 ;\n"},
+     ["solve", "x0.opb"], 2),
+    ("x0 in a u step", {"p.pbp": PROOF_HEADER + "u +1 x0 >= 1 ;\n"},
+     ["verify", "ex.opb", "p.pbp"], 2),
+    ("x0 in a p step", {"p.pbp": PROOF_HEADER + "p x0 0\n"},
+     ["verify", "ex.opb", "p.pbp"], 2),
+    ("negative budget", {"g.txt": SMALL_GRAPH},
+     ["encode", "--graph", "g.txt", "--budget", "-1", "--out", "o.opb"], 2),
+    ("oracle k beyond n", {"g.txt": SMALL_GRAPH}, ["oracle", "--graph", "g.txt", "--k", "99"], 2),
+    ("oracle over 64 nodes", {"g.txt": "".join(f"n{i}\n" for i in range(70))},
+     ["oracle", "--graph", "g.txt", "--k", "2"], 2),
+    ("projection out of range", {}, ["enumerate", "ex.opb", "--project", "x9"], 2),
+    ("projection repeats a variable", {}, ["enumerate", "ex.opb", "--project", "x1,x1"], 2),
+    ("OPB that is not UTF-8", {"bin.opb": b"\xff\xfe"}, ["solve", "bin.opb"], 2),
+]
+
+
+@pytest.mark.parametrize("name,files,argv,code", REPROS, ids=[r[0] for r in REPROS])
+def test_bad_input_exits_cleanly(tmp_path, monkeypatch, capsys, name, files, argv, code):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ex.opb").write_text(EXAMPLE_UNSAT_OPB)
+    for fname, data in files.items():
+        (tmp_path / fname).write_bytes(data if isinstance(data, bytes) else data.encode())
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+
+
+# -- malformed-input corpus --------------------------------------------------------
+
+VOCAB = ["x0", "~x", "-1", "0", "=", "<", ";", "d", "*", "+", "zz", ""]
+CASES_PER_KIND = 200
+
+
+def _mutate(rng, text):
+    """Apply one or two random line or token mutations to *text*."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 2)):
+        if not lines:
+            break
+        i = rng.randrange(len(lines))
+        op = rng.choice(("delete", "duplicate", "swap", "truncate", "replace"))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "truncate":
+            lines[i] = lines[i][: rng.randrange(len(lines[i]) + 1)]
+        else:
+            tokens = lines[i].split(" ")
+            tokens[rng.randrange(len(tokens))] = rng.choice(VOCAB)
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+HUBS = "v1,v2,v3,v4"
+CORPUS = {
+    # kind: (valid text, file name, the subcommands that read it)
+    "opb": (EXAMPLE_UNSAT_OPB, "ex.opb", [
+        ["solve", "ex.opb"],
+        ["enumerate", "ex.opb"],
+        ["verify", "ex.opb", "ex.pbp"],
+    ]),
+    "proof": (EXAMPLE_UNSAT_PROOF, "ex.pbp", [["verify", "ex.opb", "ex.pbp"]]),
+    "graph": (write_edge_list(example_graph()), "g.txt", [
+        ["check-ics", "--graph", "g.txt", "--set", HUBS],
+        ["color", "--graph", "g.txt", "--inject", HUBS],
+        ["encode", "--graph", "g.txt", "--budget", "4", "--out", "g.opb"],
+        ["oracle", "--graph", "g.txt", "--k", "4"],
+    ]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CORPUS))
+def test_malformed_input_corpus(tmp_path, monkeypatch, capsys, kind):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ex.opb").write_text(EXAMPLE_UNSAT_OPB)
+    (tmp_path / "ex.pbp").write_text(EXAMPLE_UNSAT_PROOF)
+    valid, fname, commands = CORPUS[kind]
+    rng = random.Random(f"corpus/{kind}")
+    codes = set()
+    for case in range(CASES_PER_KIND):
+        text = _mutate(rng, valid)
+        (tmp_path / fname).write_text(text)
+        for argv in commands:
+            code = main(argv)
+            err = capsys.readouterr().err
+            context = f"case {case} {argv}:\n{text}\nstderr: {err}"
+            assert code in (0, 1, 2, 3), context
+            assert len(err.splitlines()) <= 1, context
+            assert "Traceback" not in err, context
+            codes.add(code)
+    # the corpus must reach the error paths, not only mutations that stay valid
+    assert codes - {0}, codes

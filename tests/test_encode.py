@@ -13,7 +13,6 @@ from sbgkit.encode import (
     PBFormula,
     PartialAssignmentError,
     blocking_constraint,
-    constraint,
     encode_ics,
     evaluate,
     neg,
@@ -70,7 +69,7 @@ def test_constraint_rejects_repeated_variable():
 
 
 def test_constraint_factory_merges_opposite_literals():
-    c = constraint([(2, pos(1)), (1, neg(1)), (1, pos(2))], 1)
+    (c,) = normalize([(2, pos(1)), (1, neg(1)), (1, pos(2))], ">=", 1)
     # 2 x1 + (1 - x1) + x2 >= 1  ->  x1 + x2 >= 0
     assert c == LinearConstraint(((1, pos(1)), (1, pos(2))), 0)
     assert c.trivially_true

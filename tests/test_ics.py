@@ -10,7 +10,6 @@ from sbgkit.ics import (
     color_table,
     is_ics,
     motif_class_sets,
-    seepage_coloring,
     signatures,
 )
 
@@ -95,16 +94,9 @@ def test_monotonicity_random():
         assert is_ics(g, bigger)
 
 
-def test_seepage_equals_signatures(sbg):
-    rng = random.Random(3)
-    for _ in range(10):
-        code = mask_of(v for v in range(32) if rng.random() < 0.4)
-        assert seepage_coloring(sbg, code) == signatures(sbg, code)
-
-
 def test_single_injection_colors_closed_neighborhood(sbg):
     v = sbg.node_id("H3_2")
-    sigs = seepage_coloring(sbg, 1 << v)
+    sigs = signatures(sbg, 1 << v)
     colored = mask_of(u for u, sig in enumerate(sigs) if sig)
     assert colored == sbg.closed_neighborhood(v)
     assert all(sig in (0, 1 << v) for sig in sigs)

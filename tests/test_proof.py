@@ -157,7 +157,9 @@ def test_parse_fixture_steps():
     assert kinds == (
         ["header", "rup"] + ["load"] * 7 + ["polish"] * 6 + ["contradiction"]
     )
-    assert steps[9].tokens == ("8", "4", "~x3", "+", "2", "d", "+")
+    assert steps[9].tokens == (
+        ("id", 8), ("id", 4), ("lit", neg(3)), ("+", None), ("d", 2), ("+", None)
+    )
     assert steps[-1].index == 14
 
 
