@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 from . import fixtures
@@ -165,73 +166,57 @@ def _cmd_oracle(args) -> int:
 # -- the full reproduction pipeline ---------------------------------------------
 
 
-def _cmd_reproduce(args) -> int:
-    checks: list[dict] = []
+def _reproduce_checks() -> list[tuple]:
+    """The checks in report order: (name, expected, thunk computing the actual value).
 
-    def check(name: str, expected, actual) -> bool:
+    Thunks look layers up by their global names here, so a tracer can swap them.
+    A value several checks read is cached; an exception is not, so it is retried.
+    """
+    g = build_sbg()
+    degs = sorted(g.degree(v) for v in range(g.n))
+    class_i = next(m for m in motif_class_sets() if m.family == "I")
+    f9 = cache(lambda: encode_ics(g, 9))
+    oracle10 = cache(lambda: count_ics(g, 10, collect=True))
+    enum = cache(lambda: enumerate_all(encode_ics(g, 10, exact=True)))
+    hist = cache(lambda: classify_solutions(oracle10()[1]))
+    return [
+        ("sbg node count", 32, lambda: g.n),
+        ("sbg edge count", 90, lambda: g.edge_count),
+        ("sbg degree histogram", {5: 12, 6: 20},
+         lambda: {d: degs.count(d) for d in sorted(set(degs))}),
+        ("ring injection is an identifying code", True, lambda: is_ics(g, class_i.members)),
+        ("budget-9 encoding size", 273, lambda: len(f9().constraints)),
+        ("exhaustive count at size 8", 0, lambda: count_ics(g, 8)[0]),
+        ("exhaustive count at size 9", 0, lambda: count_ics(g, 9)[0]),
+        ("solver at budget 9", "UNSAT", lambda: solve(f9()).status),
+        ("solver at budget 10", "SAT", lambda: solve(encode_ics(g, 10)).status),
+        ("exhaustive count at size 10", 26, lambda: oracle10()[0]),
+        ("solver enumeration count", 26, lambda: len(enum())),
+        ("solver and oracle agree on the solution set", True,
+         lambda: sorted(a.code_mask() for a in enum()) == sorted(oracle10()[1])),
+        ("class histogram", {"I": 1, "II": 10, "III": 10, "IV": 5}, lambda: hist().counts),
+        ("unclassified solutions", 0, lambda: len(hist().unmatched)),
+        ("refutation fixture verifies", True, lambda: verify(
+            parse_opb(fixtures.EXAMPLE_UNSAT_OPB), parse_proof(fixtures.EXAMPLE_UNSAT_PROOF)
+        ).contradiction_id == 14),
+    ]
+
+
+def _cmd_reproduce(args) -> int:
+    t0 = time.time()
+    checks: list[dict] = []
+    for name, expected, thunk in _reproduce_checks():
+        try:
+            actual = thunk()
+        except SolveLimitReached:
+            actual = "inconclusive (node limit)"
+        except (ProofParseError, VerifyError) as exc:
+            actual = f"rejected: {exc}"
         ok = expected == actual
         checks.append(
             {"check": name, "expected": repr(expected), "actual": repr(actual), "pass": ok}
         )
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: expected {expected}, got {actual}")
-        return ok
-
-    t0 = time.time()
-    g = build_sbg()
-    check("sbg node count", 32, g.n)
-    check("sbg edge count", 90, g.edge_count)
-    degs = sorted(g.degree(v) for v in range(g.n))
-    check("sbg degree histogram", {5: 12, 6: 20}, {d: degs.count(d) for d in sorted(set(degs))})
-
-    class_i = next(m for m in motif_class_sets() if m.family == "I")
-    check("ring injection is an identifying code", True, is_ics(g, class_i.members))
-
-    f9 = encode_ics(g, 9)
-    check("budget-9 encoding size", 273, len(f9.constraints))
-
-    c8, _ = count_ics(g, 8)
-    check("exhaustive count at size 8", 0, c8)
-    c9, _ = count_ics(g, 9)
-    check("exhaustive count at size 9", 0, c9)
-
-    try:
-        res9 = solve(f9)
-        check("solver at budget 9", "UNSAT", res9.status)
-    except SolveLimitReached:
-        check("solver at budget 9", "UNSAT", "inconclusive (node limit)")
-
-    f10 = encode_ics(g, 10)
-    try:
-        res10 = solve(f10)
-        check("solver at budget 10", "SAT", res10.status)
-    except SolveLimitReached:
-        check("solver at budget 10", "SAT", "inconclusive (node limit)")
-
-    c10, sols10 = count_ics(g, 10, collect=True)
-    check("exhaustive count at size 10", 26, c10)
-
-    try:
-        enum = enumerate_all(encode_ics(g, 10, exact=True))
-        check("solver enumeration count", 26, len(enum))
-        enum_masks = sorted(a.code_mask() for a in enum)
-        check("solver and oracle agree on the solution set", True, enum_masks == sorted(sols10))
-    except SolveLimitReached:
-        check("solver enumeration count", 26, "inconclusive (node limit)")
-
-    hist = classify_solutions(sols10)
-    check(
-        "class histogram",
-        {"I": 1, "II": 10, "III": 10, "IV": 5},
-        hist.counts,
-    )
-    check("unclassified solutions", 0, len(hist.unmatched))
-
-    f_ex = parse_opb(fixtures.EXAMPLE_UNSAT_OPB)
-    try:
-        outcome = verify(f_ex, parse_proof(fixtures.EXAMPLE_UNSAT_PROOF))
-        check("refutation fixture verifies", True, outcome.contradiction_id == 14)
-    except (ProofParseError, VerifyError) as exc:
-        check("refutation fixture verifies", True, f"rejected: {exc}")
 
     report_path = Path(args.report)
     report_path.write_text(json.dumps(checks, indent=2) + "\n")

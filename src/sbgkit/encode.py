@@ -317,6 +317,15 @@ _VAR_RE = re.compile(r"(~?)x([1-9]\d*)$")
 _INT_RE = re.compile(r"[+-]?\d+$")
 
 
+def _parse_int(token: str, line_no: int, error: type = OpbError) -> int:
+    """The value of a matched digit string; one over Python's integer-string
+    limit (4300 digits by default) raises *error* instead of ValueError."""
+    try:
+        return int(token)
+    except ValueError:
+        raise error(line_no, f"integer of {len(token)} characters is too long") from None
+
+
 def write_opb(f: PBFormula) -> str:
     """Render a formula as OPB text; parse_opb inverts this bit-exactly."""
     lines = [f"* #variable= {f.num_vars} #constraint= {len(f.constraints)}"]
@@ -349,7 +358,7 @@ def parse_constraint_tokens(
         raise OpbError(line_no, "expected a single integer degree after the relation")
     if not _INT_RE.match(tokens[k + 1]):
         raise OpbError(line_no, f"bad degree {tokens[k + 1]!r}")
-    rhs = int(tokens[k + 1])
+    rhs = _parse_int(tokens[k + 1], line_no)
     body = tokens[:k]
     if len(body) % 2 != 0:
         raise OpbError(line_no, "terms must alternate coefficient and variable")
@@ -357,11 +366,11 @@ def parse_constraint_tokens(
     for i in range(0, len(body), 2):
         if not _INT_RE.match(body[i]):
             raise OpbError(line_no, f"bad coefficient {body[i]!r}")
-        coef = int(body[i])
+        coef = _parse_int(body[i], line_no)
         m = _VAR_RE.match(body[i + 1])
         if not m:
             raise OpbError(line_no, f"bad variable token {body[i + 1]!r}")
-        lit = Literal(int(m.group(2)), negated=bool(m.group(1)))
+        lit = Literal(_parse_int(m.group(2), line_no), negated=bool(m.group(1)))
         terms.append((coef, lit))
     return normalize(terms, relation, rhs)
 
@@ -385,14 +394,14 @@ def parse_opb(text: str) -> PBFormula:
         if line.startswith("*"):
             m = _HEADER_RE.match(line)
             if m and num_vars is None:
-                num_vars = int(m.group(1))
-                declared = int(m.group(2))
+                num_vars = _parse_int(m.group(1), line_no)
+                declared = _parse_int(m.group(2), line_no)
                 continue
             parts = line.split()
             if len(parts) == 4 and parts[1] == "name":
                 vm = _VAR_RE.match(parts[2])
                 if vm and not vm.group(1):
-                    names[int(vm.group(2))] = parts[3]
+                    names[_parse_int(vm.group(2), line_no)] = parts[3]
             continue
         if num_vars is None:
             raise OpbError(line_no, "constraint before the OPB header")

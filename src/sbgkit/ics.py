@@ -12,7 +12,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, bits, mask_of, sbg_node, _pos
+from .graph import Graph, GraphError, bits, mask_of, sbg_node, _SBG_LABELS
 
 
 def signatures(g: Graph, code: int) -> tuple[int, ...]:
@@ -92,18 +92,7 @@ def _mirror_permutation() -> tuple[int, ...]:
     Layers map 1<->6, 2<->5, 3<->4 with cyclic positions reflected as
     j -> 5 - j (mod 5).  The map is an involution and preserves adjacency.
     """
-    perm = [0] * 32
-    perm[sbg_node("P", 1)] = sbg_node("P", 6)
-    perm[sbg_node("P", 6)] = sbg_node("P", 1)
-    for j in range(1, 6):
-        r = _pos(5 - j)
-        perm[sbg_node("H", 2, j)] = sbg_node("H", 5, r)
-        perm[sbg_node("H", 5, j)] = sbg_node("H", 2, r)
-        perm[sbg_node("H", 3, j)] = sbg_node("H", 4, r)
-        perm[sbg_node("H", 4, j)] = sbg_node("H", 3, r)
-        perm[sbg_node("P", 3, j)] = sbg_node("P", 4, r)
-        perm[sbg_node("P", 4, j)] = sbg_node("P", 3, r)
-    return tuple(perm)
+    return tuple(sbg_node(lab.kind, 7 - lab.layer, 5 - lab.position) for lab in _SBG_LABELS)
 
 
 def _apply(perm: tuple[int, ...], mask: int) -> int:

@@ -12,7 +12,7 @@ Memory is not bounded by the chunk size.  Only the filter passes are
 chunked; before them the scan materialises all C(n, k-1) masks of the
 (k-1)-subset level.  On the 32-node soccer ball graph at k=10 that level is
 C(32, 9) = 28,048,800 uint32 masks, 107 MiB, and building it peaks at about
-254 MiB of numpy allocations (tracemalloc); at k=11 the level is 246 MiB.
+244 MiB of numpy allocations (tracemalloc); at k=11 the level is 246 MiB.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .graph import Graph, bits
 from .ics import MotifSet, motif_class_sets
 
 _CHUNK = 1 << 20
+_PREFILTER_CAP = 48
 
 
 class OracleError(ValueError):
@@ -45,19 +46,20 @@ def _level_masks(n: int, k: int, dtype) -> np.ndarray:
 
     Built level by level: the k-subsets with maximum element j are exactly
     the (k-1)-subsets of range(j), which in colex order are a prefix of the
-    previous level.
+    previous level.  Level i is built only over range(n - k + i), the part
+    the later levels read.
     """
     cur = np.zeros(1, dtype=dtype)
     for level in range(1, k + 1):
         parts = [
             cur[: math.comb(j, level - 1)] | dtype(1 << j)
-            for j in range(level - 1, n)
+            for j in range(level - 1, n - k + level)
         ]
         cur = np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
     return cur
 
 
-def _prefilters(g: Graph, cap: int = 48) -> list[int]:
+def _prefilters(g: Graph) -> list[int]:
     """Node sets every dominating identifying code must intersect.
 
     The closed neighborhoods (domination) plus the smallest distinguishing
@@ -71,7 +73,7 @@ def _prefilters(g: Graph, cap: int = 48) -> list[int]:
         for v in bits(reach >> (u + 1) << (u + 1)):
             ds.append(g.distinguishing_set(u, v))
     ds.sort(key=lambda m: m.bit_count())
-    masks.extend(ds[: max(0, cap - len(masks))])
+    masks.extend(ds[: max(0, _PREFILTER_CAP - len(masks))])
     return masks
 
 

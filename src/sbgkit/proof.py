@@ -20,6 +20,7 @@ are recognized and rejected loudly, never skipped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Sequence
 
 from .encode import (
@@ -31,6 +32,7 @@ from .encode import (
     OpbError,
     _INT_RE,
     _VAR_RE,
+    _parse_int,
 )
 from .solve import propagates_to_conflict
 
@@ -48,6 +50,9 @@ class ProofParseError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+_proof_int = partial(_parse_int, error=ProofParseError)
 
 
 class VerifyError(ValueError):
@@ -149,7 +154,7 @@ def _parse_polish(tokens: Sequence[str], line_no: int) -> tuple[tuple[str, objec
         if _INT_RE.match(tok) and lookahead in ("*", "d"):
             if depth < 1:
                 raise ProofParseError(line_no, f"'{lookahead}' with empty stack")
-            ops.append((lookahead, int(tok)))
+            ops.append((lookahead, _proof_int(tok, line_no)))
             i += 2
             continue
         if tok == "+":
@@ -165,9 +170,9 @@ def _parse_polish(tokens: Sequence[str], line_no: int) -> tuple[tuple[str, objec
             raise ProofParseError(line_no, f"'{tok}' without preceding integer")
         elif m := _VAR_RE.match(tok):
             depth += 1
-            ops.append(("lit", Literal(int(m.group(2)), bool(m.group(1)))))
+            ops.append(("lit", Literal(_proof_int(m.group(2), line_no), bool(m.group(1)))))
         elif _INT_RE.match(tok):
-            cid = int(tok)
+            cid = _proof_int(tok, line_no)
             if cid < 1:
                 raise ProofParseError(line_no, f"bad constraint id {tok!r}")
             depth += 1
@@ -208,9 +213,10 @@ def parse_proof(text: str) -> list[ProofStep]:
                 raise ProofParseError(line_no, f"bad 'u' constraint: {exc.message}") from None
             steps.append(ProofStep("rup", line_no, constraint=parsed[0]))
         elif directive == "l":
-            if not rest.isdecimal() or int(rest) < 1:
+            index = _proof_int(rest, line_no) if rest.isdecimal() else 0
+            if index < 1:
                 raise ProofParseError(line_no, f"'l' expects a 1-based index, got {rest!r}")
-            steps.append(ProofStep("load", line_no, index=int(rest)))
+            steps.append(ProofStep("load", line_no, index=index))
         elif directive == "p":
             tokens = rest.split()
             if not tokens or tokens[-1] != "0":
@@ -221,7 +227,7 @@ def parse_proof(text: str) -> list[ProofStep]:
             parts = rest.split()
             if len(parts) != 2 or parts[1] != "0" or not parts[0].isdecimal():
                 raise ProofParseError(line_no, "'c' expects '<id> 0'")
-            steps.append(ProofStep("contradiction", line_no, index=int(parts[0])))
+            steps.append(ProofStep("contradiction", line_no, index=_proof_int(parts[0], line_no)))
         elif directive in _UNSUPPORTED:
             raise ProofParseError(
                 line_no, f"unsupported rule {directive!r} (outside the verified subset)"

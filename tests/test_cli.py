@@ -1,11 +1,15 @@
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from sbgkit.cli import main
 from sbgkit.fixtures import EXAMPLE_UNSAT_OPB, EXAMPLE_UNSAT_PROOF, example_graph
 from sbgkit.graph import write_edge_list
+from sbgkit.ics import motif_class_sets
+from sbgkit.proof import VerifyError
+from sbgkit.solve import SolveLimitReached, SolveStats
 
 
 @pytest.fixture()
@@ -148,6 +152,30 @@ REPROS = [
     ("OPB that is not UTF-8", {"bin.opb": b"\xff\xfe"}, ["solve", "bin.opb"], 2),
 ]
 
+# decimal integers past Python's integer-string limit (4300 digits)
+BIG = "9" * 5000
+OPB_HEADER = "* #variable= 1 #constraint= 1\n"
+REPROS += [
+    (f"over-long {where}", {"big.opb": text}, ["solve", "big.opb"], 2)
+    for where, text in [
+        ("OPB degree", OPB_HEADER + f"+1 x1 >= {BIG} ;\n"),
+        ("OPB coefficient", OPB_HEADER + f"+{BIG} x1 >= 1 ;\n"),
+        ("OPB variable id", OPB_HEADER + f"+1 x{BIG} >= 1 ;\n"),
+        ("OPB variable count", f"* #variable= {BIG} #constraint= 1\n+1 x1 >= 1 ;\n"),
+        ("OPB name line", OPB_HEADER + f"* name x{BIG} a\n+1 x1 >= 1 ;\n"),
+    ]
+] + [
+    (f"over-long {where}", {"p.pbp": PROOF_HEADER + text}, ["verify", "ex.opb", "p.pbp"], 2)
+    for where, text in [
+        ("l index", f"l {BIG}\n"),
+        ("c id", f"l 1\nc {BIG} 0\n"),
+        ("p constraint id", f"p {BIG} 0\n"),
+        ("p multiplier", f"l 1\np 1 {BIG} * 0\n"),
+        ("p literal", f"p x{BIG} 0\n"),
+        ("u degree", f"u +1 x1 >= {BIG} ;\n"),
+    ]
+]
+
 
 @pytest.mark.parametrize("name,files,argv,code", REPROS, ids=[r[0] for r in REPROS])
 def test_bad_input_exits_cleanly(tmp_path, monkeypatch, capsys, name, files, argv, code):
@@ -230,3 +258,101 @@ def test_malformed_input_corpus(tmp_path, monkeypatch, capsys, kind):
             codes.add(code)
     # the corpus must reach the error paths, not only mutations that stay valid
     assert codes - {0}, codes
+
+
+# -- reproduce, with the three slow layers replaced by fakes ------------------------
+
+REPRODUCE_CHECKS = [
+    "sbg node count",
+    "sbg edge count",
+    "sbg degree histogram",
+    "ring injection is an identifying code",
+    "budget-9 encoding size",
+    "exhaustive count at size 8",
+    "exhaustive count at size 9",
+    "solver at budget 9",
+    "solver at budget 10",
+    "exhaustive count at size 10",
+    "solver enumeration count",
+    "solver and oracle agree on the solution set",
+    "class histogram",
+    "unclassified solutions",
+    "refutation fixture verifies",
+]
+
+
+@pytest.fixture()
+def fast_layers(tmp_path, monkeypatch):
+    """Fakes for count_ics, solve and enumerate_all that give the known SBG answers."""
+    codes = sorted(m.members for m in motif_class_sets())
+
+    def count_ics(g, k, collect=False):
+        sols = codes if k == 10 else []
+        return len(sols), (list(sols) if collect else None)
+
+    def solve(f):
+        # the all-negated budget constraint of a size-k formula has degree n - k
+        budget = next(len(c.terms) - c.degree for c in f.constraints if c.degree > 1)
+        return SimpleNamespace(status="UNSAT" if budget < 10 else "SAT")
+
+    def enumerate_all(f):
+        return [SimpleNamespace(code_mask=lambda m=m: m) for m in reversed(codes)]
+
+    monkeypatch.setattr("sbgkit.cli.count_ics", count_ics)
+    monkeypatch.setattr("sbgkit.cli.solve", solve)
+    monkeypatch.setattr("sbgkit.cli.enumerate_all", enumerate_all)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+def _reproduce(path):
+    code = main(["reproduce", "--report", str(path)])
+    return code, json.loads(path.read_text())
+
+
+def test_reproduce_passes_every_check_in_order(fast_layers, capsys):
+    code, report = _reproduce(fast_layers / "r.json")
+    assert code == 0
+    assert [c["check"] for c in report] == REPRODUCE_CHECKS
+    assert all(c["pass"] for c in report)
+    lines = capsys.readouterr().out.splitlines()
+    assert [l.split(":")[0] for l in lines[:-1]] == [f"[PASS] {n}" for n in REPRODUCE_CHECKS]
+    assert lines[-1].startswith("all checks passed (15/15, ")
+
+
+def test_reproduce_report_repeats_byte_for_byte(fast_layers):
+    _reproduce(fast_layers / "a.json")
+    _reproduce(fast_layers / "b.json")
+    assert (fast_layers / "a.json").read_bytes() == (fast_layers / "b.json").read_bytes()
+
+
+@pytest.mark.parametrize("layer,rows", [
+    ("solve", ["solver at budget 9", "solver at budget 10"]),
+    ("enumerate_all", ["solver enumeration count", "solver and oracle agree on the solution set"]),
+])
+def test_reproduce_records_node_limit_and_runs_on(fast_layers, monkeypatch, layer, rows):
+    def limited(*args, **kwargs):
+        raise SolveLimitReached(7, SolveStats())
+
+    monkeypatch.setattr(f"sbgkit.cli.{layer}", limited)
+    code, report = _reproduce(fast_layers / "r.json")
+    assert code == 1
+    assert [c["check"] for c in report] == REPRODUCE_CHECKS
+    assert [c["check"] for c in report if not c["pass"]] == rows
+    assert {c["actual"] for c in report if not c["pass"]} == {"'inconclusive (node limit)'"}
+
+
+def test_reproduce_records_a_rejected_proof(fast_layers, monkeypatch):
+    def rejecting(f, steps):
+        raise VerifyError(9, "rup", "no conflict")
+
+    monkeypatch.setattr("sbgkit.cli.verify", rejecting)
+    code, report = _reproduce(fast_layers / "r.json")
+    assert code == 1
+    assert report[-1] == {
+        "check": "refutation fixture verifies",
+        "expected": "True",
+        "actual": "'rejected: line 9: rup: no conflict'",
+        "pass": False,
+    }
+    assert all(c["pass"] for c in report[:-1])

@@ -1,6 +1,8 @@
 import itertools
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from conftest import random_graph
@@ -8,7 +10,13 @@ from sbgkit.encode import encode_ics
 from sbgkit.fixtures import example_graph
 from sbgkit.graph import Graph, mask_of
 from sbgkit.ics import is_ics, motif_class_sets
-from sbgkit.oracle import OracleError, classify_solutions, count_ics, min_ics_size
+from sbgkit.oracle import (
+    OracleError,
+    _level_masks,
+    classify_solutions,
+    count_ics,
+    min_ics_size,
+)
 from sbgkit.solve import enumerate_all
 
 
@@ -38,6 +46,27 @@ def test_count_full_subset():
         g = random_graph(rng, rng.randint(1, 8))
         count, _ = count_ics(g, g.n)
         assert count == (1 if is_ics(g, (1 << g.n) - 1) else 0)
+
+
+def test_level_masks_are_all_subsets_in_colex_order():
+    for n in range(13):
+        for k in range(n + 1):
+            colex = sorted(itertools.combinations(range(n), k), key=lambda c: c[::-1])
+            assert _level_masks(n, k, np.uint32).tolist() == [mask_of(c) for c in colex]
+
+
+def test_count_builds_no_level_it_never_reads():
+    # the scan at k=22 reads the C(24, 21) = 2,024 masks of level 21; the
+    # middle level C(24, 12) alone would be 10 MiB of masks
+    path = Graph(24, [(v, v + 1) for v in range(23)])
+    tracemalloc.start()
+    try:
+        count, _ = count_ics(path, 22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == brute_count(path, 22)[0]
+    assert peak < 1 << 20
 
 
 def test_count_rejects_bad_k(sbg):
