@@ -116,7 +116,12 @@ def _parse_projection(f, selector: str | None) -> list[int] | None:
     out = []
     for token in want:
         if token.startswith("x") and token[1:].isdecimal():
-            out.append(int(token[1:]))
+            try:
+                out.append(int(token[1:]))
+            except ValueError:  # over Python's integer-string limit
+                raise EncodeError(
+                    f"projection variable id of {len(token) - 1} digits is too long"
+                ) from None
         elif f.names and token in f.names:
             out.append(f.names.index(token) + 1)
         else:
@@ -141,6 +146,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_verify(args) -> int:
     f = parse_opb(Path(args.opb).read_text())
     outcome = verify(f, parse_proof(Path(args.proof).read_text()))
+    print(f"c {outcome.steps_checked} steps checked")
     print(f"s VERIFIED (contradiction id {outcome.contradiction_id})")
     return EXIT_OK
 

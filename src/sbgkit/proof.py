@@ -34,7 +34,7 @@ from .encode import (
     _VAR_RE,
     _parse_int,
 )
-from .solve import propagates_to_conflict
+from .solve import RupChecker
 
 PROOF_HEADER = "pseudo-Boolean proof version 1.0"
 
@@ -248,13 +248,11 @@ class ConstraintDb:
 
     constraints: dict[int, LinearConstraint] = field(default_factory=dict)
     next_id: int = 1
-    max_var: int = 0  # widest variable of any stored constraint
 
     def store(self, c: LinearConstraint) -> int:
         cid = self.next_id
         self.constraints[cid] = c
         self.next_id += 1
-        self.max_var = max(self.max_var, c.max_var())
         return cid
 
     def fetch(self, cid: int, line_no: int) -> LinearConstraint:
@@ -300,13 +298,20 @@ def verify(f: PBFormula, steps: Iterable[ProofStep]) -> Verification:
 
     ``u`` steps are checked by reverse propagation: the negated constraint
     is added to everything derived so far and counting propagation must run
-    into a conflict.  The final claim succeeds only when the referenced
-    constraint normalizes to ``0 >= d`` with d >= 1.
+    into a conflict, checked on one RupChecker for the whole proof.  The
+    final claim succeeds only when the referenced constraint normalizes to
+    ``0 >= d`` with d >= 1.
     """
     db = ConstraintDb()
+    rup = RupChecker()
     contradiction: int | None = None
     checked = 0
     last_line = 0
+
+    def store(c: LinearConstraint) -> None:
+        db.store(c)
+        rup.store(c)
+
     for step in steps:
         checked += 1
         last_line = step.line_no
@@ -319,20 +324,18 @@ def verify(f: PBFormula, steps: Iterable[ProofStep]) -> Verification:
                     "l",
                     f"input constraint {step.index} out of range 1..{len(f.constraints)}",
                 )
-            db.store(f.constraints[step.index - 1])
+            store(f.constraints[step.index - 1])
         elif step.kind == "rup":
             assert step.constraint is not None
-            assumption = negation_of(step.constraint)
-            pool = list(db.constraints.values()) + [assumption]
-            if not propagates_to_conflict(pool, max(db.max_var, step.constraint.max_var())):
+            if not rup.refutes(negation_of(step.constraint)):
                 raise VerifyError(
                     step.line_no,
                     "u",
                     f"propagation does not refute the negation of '{step.constraint}'",
                 )
-            db.store(step.constraint)
+            store(step.constraint)
         elif step.kind == "polish":
-            db.store(_replay_polish(step.tokens, db, step.line_no))
+            store(_replay_polish(step.tokens, db, step.line_no))
         elif step.kind == "contradiction":
             c = db.fetch(step.index, step.line_no)
             if not c.contradiction:

@@ -13,6 +13,10 @@ unsatisfied constraints, assigning the value that makes the literal true.
 Enumeration runs a single search tree: each model found is excluded by
 attaching its blocking constraint on the fly and treating the model as a
 conflict, so the total work is one refutation of the fully blocked formula.
+
+RupChecker runs the proof verifier's reverse-unit-propagation checks on one
+engine for the whole proof; propagates_to_conflict, which builds a fresh
+engine per call, is the reference the tests hold it to.
 """
 
 from __future__ import annotations
@@ -69,19 +73,27 @@ class _Engine:
     """Search state over compiled constraints; supports on-the-fly additions."""
 
     def __init__(self, num_vars: int):
-        self.nv = num_vars
         self.terms: list[list[tuple[int, int, bool]]] = []  # (coef, var0, negated)
         self.maxcoef: list[int] = []
         self.slack: list[int] = []
         self.need: list[int] = []  # degree minus satisfied mass; <= 0 means satisfied
         self.unassigned: list[int] = []
-        self.val = [-1] * num_vars
+        self.val: list[int] = []
         # per variable and assigned value: constraint entries falsified/satisfied
-        self.fal: list[tuple[list, list]] = [([], []) for _ in range(num_vars)]
-        self.sat: list[tuple[list, list]] = [([], []) for _ in range(num_vars)]
-        self.occ: list[list[int]] = [[] for _ in range(num_vars)]
+        self.fal: list[tuple[list, list]] = []
+        self.sat: list[tuple[list, list]] = []
+        self.occ: list[list[int]] = []
         self.trail: list[int] = []
         self.stats = SolveStats()
+        self.grow(num_vars)
+
+    def grow(self, num_vars: int) -> None:
+        """Make room for variables up to *num_vars*, all unassigned."""
+        extra = num_vars - len(self.val)
+        self.val += [-1] * extra
+        self.fal += [([], []) for _ in range(extra)]
+        self.sat += [([], []) for _ in range(extra)]
+        self.occ += [[] for _ in range(extra)]
 
     def add_constraint(self, c: LinearConstraint) -> None:
         """Attach a constraint, with slack computed under the current assignment."""
@@ -109,6 +121,18 @@ class _Engine:
         self.need.append(need)
         self.unassigned.append(una)
 
+    def remove_last(self) -> None:
+        """Detach the constraint attached last; its entries end every list."""
+        for _, v, negated in self.terms.pop():
+            true_value = 0 if negated else 1
+            self.sat[v][true_value].pop()
+            self.fal[v][1 - true_value].pop()
+            self.occ[v].pop()
+        self.maxcoef.pop()
+        self.slack.pop()
+        self.need.pop()
+        self.unassigned.pop()
+
     def assign(self, v: int, b: int) -> None:
         self.val[v] = b
         self.trail.append(v)
@@ -130,6 +154,12 @@ class _Engine:
             need[ci] += coef
         for ci in self.occ[v]:
             unassigned[ci] += 1
+
+    def undo(self, mark: int) -> None:
+        """Unassign the trail back to length *mark*."""
+        trail = self.trail
+        while len(trail) > mark:
+            self.unassign(trail.pop())
 
     def force(self, entries) -> bool:
         """Force the literals that the constraints in *entries* imply.
@@ -228,8 +258,7 @@ class _Engine:
                 if not dec_stack:
                     return
                 tlen, v, negated, flipped = dec_stack.pop()
-                while len(self.trail) > tlen:
-                    self.unassign(self.trail.pop())
+                self.undo(tlen)
                 if not flipped:
                     dec_stack.append((tlen, v, negated, True))
                     self.assign(v, 1 if negated else 0)
@@ -316,7 +345,50 @@ def propagates_to_conflict(
     """True iff counting propagation alone refutes the constraint set.
 
     This is the same propagation loop the solver uses, run to fixpoint with
-    no decisions; it backs the reverse-unit-propagation checks of the proof
-    verifier.
+    no decisions on a fresh engine; it is the reference that the tests hold
+    RupChecker's verdicts to.
     """
     return not _engine_for(num_vars, constraints).root_propagate()
+
+
+class RupChecker:
+    """Reverse-unit-propagation checks against a growing set of constraints.
+
+    One engine holds the stored constraints at their root propagation
+    fixpoint.  ``refutes`` attaches the assumption, propagates from the
+    trail mark, then undoes the trail and detaches the assumption, so a
+    check costs the propagation it triggers, not a rebuild over every
+    stored constraint.  Its verdict equals ``propagates_to_conflict`` over
+    the stored constraints plus the assumption.
+    """
+
+    def __init__(self) -> None:
+        self._eng = _Engine(0)
+        # Once the stored constraints conflict, every assumption is refuted:
+        # a fresh propagation over more constraints still reaches a conflict.
+        self._conflict = False
+
+    def store(self, c: LinearConstraint) -> None:
+        """Keep *c* for every later check."""
+        if not self._conflict and not c.trivially_true:
+            self._conflict = not self._attach(c)
+
+    def refutes(self, assumption: LinearConstraint) -> bool:
+        """True iff propagation refutes the stored constraints plus *assumption*."""
+        if self._conflict:
+            return True
+        if assumption.trivially_true:
+            return False
+        mark = len(self._eng.trail)
+        refuted = not self._attach(assumption)
+        self._eng.undo(mark)
+        self._eng.remove_last()
+        return refuted
+
+    def _attach(self, c: LinearConstraint) -> bool:
+        """Attach *c* and propagate what it forces; False on a conflict."""
+        eng = self._eng
+        mark = len(eng.trail)
+        eng.grow(c.max_var())
+        eng.add_constraint(c)
+        return eng.force([(len(eng.terms) - 1, None)]) and eng.propagate(mark)

@@ -104,6 +104,18 @@ def test_verify_exit_codes(tmp_path):
     assert main(["verify", str(bad_opb), str(proof)]) == 2
 
 
+def test_verify_reports_steps_checked(tmp_path, capsys):
+    opb = tmp_path / "ex.opb"
+    proof = tmp_path / "ex.pbp"
+    opb.write_text(EXAMPLE_UNSAT_OPB)
+    proof.write_text(EXAMPLE_UNSAT_PROOF)
+    assert main(["verify", str(opb), str(proof)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "c 16 steps checked",
+        "s VERIFIED (contradiction id 14)",
+    ]
+
+
 def test_oracle_small_graph(tmp_path, capsys):
     gpath = tmp_path / "path.txt"
     gpath.write_text("a\nb\nc\na b\nb c\n")
@@ -174,7 +186,7 @@ REPROS += [
         ("p literal", f"p x{BIG} 0\n"),
         ("u degree", f"u +1 x1 >= {BIG} ;\n"),
     ]
-]
+] + [("over-long projection id", {}, ["enumerate", "ex.opb", "--project", f"x{BIG}"], 2)]
 
 
 @pytest.mark.parametrize("name,files,argv,code", REPROS, ids=[r[0] for r in REPROS])

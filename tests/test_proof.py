@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 
@@ -25,6 +26,9 @@ from sbgkit.proof import (
     saturate,
     verify,
 )
+from sbgkit.solve import RupChecker, propagates_to_conflict
+
+solve_module = importlib.import_module("sbgkit.solve")  # the package re-exports solve()
 
 
 def random_constraint(rng, n_vars, max_terms=5):
@@ -271,3 +275,76 @@ def test_verified_fixture_is_actually_unsat(example):
     # independent spot check: the verified formula has no models at all
     for values in itertools.product((0, 1), repeat=example.num_vars):
         assert not example.satisfied_by(Assignment.total(values))
+
+
+# -- the incremental RUP checker ---------------------------------------------------
+
+
+def test_rup_checker_agrees_with_fresh_propagation():
+    # random store / u sequences; every verdict against a fresh engine
+    rng = random.Random(7)
+    verdicts = {True: 0, False: 0}
+    root_conflicts = 0
+    for _ in range(1500):
+        n = rng.randint(1, 7)
+        checker = RupChecker()
+        stored = []
+        for _ in range(rng.randint(1, 8)):
+            c = random_constraint(rng, n, max_terms=4)
+            if rng.random() < 0.4:
+                checker.store(c)
+                stored.append(c)
+                continue
+            negation = negation_of(c)
+            verdict = checker.refutes(negation)
+            assert verdict == propagates_to_conflict(stored + [negation], n), (stored, c)
+            verdicts[verdict] += 1
+            if verdict:
+                checker.store(c)
+                stored.append(c)
+        root_conflicts += propagates_to_conflict(stored, n)
+    assert min(verdicts.values()) > 1000, verdicts
+    assert root_conflicts > 50, root_conflicts
+
+
+# the fixture proof with two u steps after the contradiction at id 14 is derived
+LATE_RUP_PROOF = EXAMPLE_UNSAT_PROOF.replace(
+    "c 14 0", "u +1 x1 >= 1 ;\nu +1 x2 +1 ~x4 +1 x6 >= 1 ;\nc 14 0"
+)
+
+
+def test_verify_builds_one_engine(example, monkeypatch):
+    built = []
+
+    class CountingEngine(solve_module._Engine):
+        def __init__(self, num_vars):
+            built.append(num_vars)
+            super().__init__(num_vars)
+
+    monkeypatch.setattr(solve_module, "_Engine", CountingEngine)
+    assert verify(example, parse_proof(LATE_RUP_PROOF)).contradiction_id == 14
+    assert len(built) == 1
+
+
+def test_rup_after_root_conflict_is_accepted(example):
+    # once the stored constraints conflict, any u step is accepted, as a
+    # fresh propagation over the same constraints accepts it
+    outcome = verify(example, parse_proof(LATE_RUP_PROOF))
+    constraints = outcome.db.constraints
+    assert len(constraints) == 16
+    for cid in (15, 16):
+        earlier = [constraints[i] for i in range(1, cid)]
+        assert propagates_to_conflict(earlier + [negation_of(constraints[cid])], 6)
+
+
+def test_rup_and_polish_beyond_formula_variables(example):
+    # the formula has x1..x4; the checker grows with the constraints it sees
+    head = "pseudo-Boolean proof version 1.0\nl 1\np 1 x9 + 0\n"
+    wide_rup = "u +1 x1 +1 x2 +1 x3 +1 x12 >= 1 ;\n"
+    refutation = "l 5\nl 6\nl 7\np 4 5 + 6 + 0\nc 7 0\n"
+    outcome = verify(example, parse_proof(head + wide_rup + refutation))
+    assert [outcome.db.constraints[i].max_var() for i in (2, 3)] == [9, 12]
+    with pytest.raises(VerifyError) as err:
+        verify(example, parse_proof(head + "u +1 x9 >= 1 ;\n"))
+    assert err.value.line_no == 4
+    assert "propagation does not refute" in str(err.value)
