@@ -120,6 +120,8 @@ def test_criterion_4_lower_bound(sbg, oracle_counts):
     res = solve(encode_ics(sbg, 9))
     solver_time = time.time() - t
     assert res.status == "UNSAT"
+    # the search tree: a change in these counts is a change of search
+    assert (res.stats.decisions, res.stats.conflicts) == (21755, 21756)
     assert solver_time < 300
     report(4, f"no code of size 8 or 9; solver refutes budget 9 in {solver_time:.1f}s")
 

@@ -5,11 +5,12 @@ from types import SimpleNamespace
 import pytest
 
 from sbgkit.cli import main
+from sbgkit.encode import parse_opb
 from sbgkit.fixtures import EXAMPLE_UNSAT_OPB, EXAMPLE_UNSAT_PROOF, example_graph
 from sbgkit.graph import write_edge_list
 from sbgkit.ics import motif_class_sets
 from sbgkit.proof import VerifyError
-from sbgkit.solve import SolveLimitReached, SolveStats
+from sbgkit.solve import SolveLimitReached, SolveStats, solve
 
 
 @pytest.fixture()
@@ -75,6 +76,18 @@ def test_solve_unsat(tmp_path, capsys):
     opb.write_text(EXAMPLE_UNSAT_OPB)
     assert main(["solve", str(opb)]) == 0
     assert "s UNSATISFIABLE" in capsys.readouterr().out
+
+
+def test_solve_reports_search_statistics(tmp_path, capsys):
+    opb = tmp_path / "unsat.opb"
+    opb.write_text(EXAMPLE_UNSAT_OPB)
+    stats = solve(parse_opb(EXAMPLE_UNSAT_OPB)).stats
+    assert main(["solve", str(opb)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"c decisions={stats.decisions} propagations={stats.propagations} "
+        f"conflicts={stats.conflicts}",
+        "s UNSATISFIABLE",
+    ]
 
 
 def test_enumerate_projection_flag(tmp_path, capsys):
@@ -343,7 +356,10 @@ def test_reproduce_report_repeats_byte_for_byte(fast_layers):
     ("enumerate_all", ["solver enumeration count", "solver and oracle agree on the solution set"]),
 ])
 def test_reproduce_records_node_limit_and_runs_on(fast_layers, monkeypatch, layer, rows):
+    calls = []
+
     def limited(*args, **kwargs):
+        calls.append(args)
         raise SolveLimitReached(7, SolveStats())
 
     monkeypatch.setattr(f"sbgkit.cli.{layer}", limited)
@@ -352,6 +368,8 @@ def test_reproduce_records_node_limit_and_runs_on(fast_layers, monkeypatch, laye
     assert [c["check"] for c in report] == REPRODUCE_CHECKS
     assert [c["check"] for c in report if not c["pass"]] == rows
     assert {c["actual"] for c in report if not c["pass"]} == {"'inconclusive (node limit)'"}
+    # each formula is searched once, even when two rows read the outcome
+    assert len(calls) == {"solve": 2, "enumerate_all": 1}[layer]
 
 
 def test_reproduce_records_a_rejected_proof(fast_layers, monkeypatch):

@@ -9,14 +9,17 @@ from sbgkit.encode import (
     LinearConstraint,
     Literal,
     PBFormula,
+    encode_ics,
     normalize,
     parse_opb,
     pos,
 )
 from sbgkit.fixtures import EXAMPLE_UNSAT_OPB
+from sbgkit.graph import build_sbg
 from sbgkit.solve import (
     SolveLimitReached,
     _Engine,
+    _Search,
     enumerate_all,
     propagates_to_conflict,
     solve,
@@ -127,6 +130,20 @@ def test_enumerate_projection():
             assert set(a.assigned_vars()) == set(proj)
 
 
+def test_enumerate_any_projection_matches_brute_force():
+    # projections that leave decided variables out, and the empty projection;
+    # a blocking constraint attached at a model must still be propagated when
+    # backtracking leaves it unit or falsified
+    rng = random.Random(14)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        f = random_formula(rng, n, rng.randint(1, 8))
+        proj = sorted(rng.sample(range(1, n + 1), rng.randint(0, n)))
+        got = [tuple(a.value(v) for v in proj) for a in enumerate_all(f, projection=proj)]
+        expected = {tuple(values[v - 1] for v in proj) for values in brute_force_models(f)}
+        assert sorted(got) == sorted(expected)
+
+
 def test_enumeration_is_order_independent():
     rng = random.Random(10)
     for _ in range(20):
@@ -156,6 +173,13 @@ def test_limit_propagates_through_enumeration():
     f = PBFormula(3, ())
     with pytest.raises(SolveLimitReached):
         enumerate_all(f, node_limit=1)
+
+
+def test_sbg_budget_10_search_tree():
+    # a change in these counts is a change of search, not a faster propagation
+    res = solve(encode_ics(build_sbg(), 10))
+    assert res.is_sat
+    assert (res.stats.decisions, res.stats.conflicts) == (1899, 1889)
 
 
 def test_stats_populated():
@@ -221,3 +245,83 @@ def test_undo_and_remove_last_restore_the_engine():
             assert _engine_state(eng) == before
             checked += 1
     assert checked > 300
+
+
+# -- the solver's engine against the verifier's counting propagation -------------
+
+
+def mixed_constraints(rng, n, m):
+    """random_formula's constraints plus clauses (degree 1) with coefficients
+    up to 3 and mixed signs, some of them unit and, rarely, empty."""
+    cons = list(random_formula(rng, n, m).constraints)
+    for _ in range(rng.randint(0, 3)):
+        width = 0 if rng.random() < 0.05 else rng.randint(1, min(n, 4))
+        terms = tuple(
+            (rng.randint(1, 3), Literal(v, rng.random() < 0.5))
+            for v in rng.sample(range(1, n + 1), width)
+        )
+        cons.append(LinearConstraint(terms, 1))
+    rng.shuffle(cons)
+    return cons
+
+
+def _decision(v, b):
+    return LinearConstraint(((1, Literal(v + 1, b == 0)),), 1)
+
+
+def test_search_engine_propagates_like_a_fresh_counting_engine():
+    # random decide / undo / attach sequences; at every fixpoint the watched
+    # engine's verdict and assigned literals equal a fresh counting engine's
+    # over the same constraints plus the decisions as unit constraints
+    rng = random.Random(12)
+    fixpoints = attached_at_total = 0
+    for _ in range(1500):
+        n = rng.randint(1, 6)
+        cons = mixed_constraints(rng, n, rng.randint(0, 3))
+        eng = _Search(n)
+        for c in cons:
+            eng.add_constraint(c)
+        decisions = []  # (trail mark, unit constraint)
+
+        def at_fixpoint():
+            ok = eng.propagate()
+            ref = _Engine(n)
+            for c in cons + [unit for _, unit in decisions]:
+                ref.add_constraint(c)
+            assert ok == ref.root_propagate()
+            if ok:
+                assert len(set(eng.trail)) == len(eng.trail)
+                assert {(v, eng.val[v]) for v in eng.trail} == {
+                    (v, ref.val[v]) for v in ref.trail
+                }
+            return ok
+
+        ok = at_fixpoint()
+        for _ in range(20):
+            free = [v for v in range(n) if eng.val[v] == -1]
+            roll = rng.random()
+            if not ok or (decisions and roll < 0.3):
+                if not decisions:
+                    break
+                k = rng.randrange(len(decisions))
+                eng.undo(decisions[k][0])
+                del decisions[k:]
+            elif free and roll < 0.75:
+                v, b = rng.choice(free), rng.randint(0, 1)
+                decisions.append((len(eng.trail), _decision(v, b)))
+                eng.assign(v, b)
+            else:
+                if free:
+                    c = rng.choice(mixed_constraints(rng, n, 1) or [LinearConstraint((), 1)])
+                else:
+                    # a blocking clause of the total assignment, as at a model
+                    block = rng.sample(range(n), rng.randint(1, n))
+                    c = LinearConstraint(tuple(
+                        (rng.randint(1, 2), Literal(v + 1, eng.val[v] == 1)) for v in block
+                    ), 1)
+                    attached_at_total += 1
+                cons.append(c)
+                eng.add_constraint(c)
+            ok = at_fixpoint()
+            fixpoints += 1
+    assert fixpoints > 6000 and attached_at_total > 800
