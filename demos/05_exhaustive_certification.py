@@ -18,11 +18,10 @@ g = build_sbg()
 
 for k in (8, 9, 10):
     t = time.time()
-    count, _ = count_ics(g, k)
+    count, solutions = count_ics(g, k, collect=True)
     print(f"identifying codes of size {k:2d}: {count:2d}   ({time.time() - t:.1f}s)")
 
 print("\nso 10 is the minimum size; classifying the 26 codes of size 10:")
-_, solutions = count_ics(g, 10, collect=True)
 hist = classify_solutions(solutions)
 for family in ("I", "II", "III", "IV"):
     print(f"  family {family:>3}: {hist.counts.get(family, 0)}")

@@ -155,15 +155,15 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = _load_graph(args.graph)
+    if args.classify and not is_sbg(g):
+        print("error: --classify applies to the soccer ball graph only", file=sys.stderr)
+        return EXIT_FAIL
     count, sols = count_ics(g, args.k, collect=args.list or args.classify)
     print(f"c {count} identifying codes of size {args.k}")
     if args.list:
         for mask in sols:
             print(",".join(sorted(g.node_name(v) for v in bits(mask))))
     if args.classify:
-        if not is_sbg(g):
-            print("error: --classify applies to the soccer ball graph only", file=sys.stderr)
-            return EXIT_FAIL
         hist = classify_solutions(sols)
         for family in sorted(hist.counts):
             print(f"class {family}: {hist.counts[family]}")

@@ -8,11 +8,17 @@ a sound prefilter (small distinguishing sets and the domination masks must
 all be hit) discarding almost all candidates before the exact distinctness
 check.
 
-Memory is not bounded by the chunk size.  Only the filter passes are
-chunked; before them the scan materialises all C(n, k-1) masks of the
-(k-1)-subset level.  On the 32-node soccer ball graph at k=10 that level is
-C(32, 9) = 28,048,800 uint32 masks, 107 MiB, and building it peaks at about
-244 MiB of numpy allocations (tracemalloc); at k=11 the level is 246 MiB.
+The subsets arrive as blocks of at most ``_CHUNK`` masks, built by splitting
+the level on its top element until each part fits, so no level is ever held
+whole.  The prefilters are applied smallest set first, in groups of
+``_FILTER_GROUP``; after each group only the surviving candidates are kept,
+so later filters and the exact check see only those.  Memory is therefore
+bounded by the block size: the block and the arrays that build and filter
+it, plus the exact check's n-column signature matrix over the block's
+survivors (n times the block if the prefilters discard nothing).  On the 32-node soccer ball
+graph at k=10 the largest block holds 888,030 masks and the whole scan peaks
+at about 13 MiB of numpy allocations (tracemalloc); the C(32, 10) level
+held whole would be 246 MiB of masks.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .ics import MotifSet, motif_class_sets
 
 _CHUNK = 1 << 20
 _PREFILTER_CAP = 48
+_FILTER_GROUP = 8
 
 
 class OracleError(ValueError):
@@ -59,12 +66,28 @@ def _level_masks(n: int, k: int, dtype) -> np.ndarray:
     return cur
 
 
+def _colex_blocks(n: int, k: int, dtype, prefix: int = 0):
+    """All k-subset masks of range(n), OR'd with *prefix*, in colex order,
+    as consecutive blocks of at most _CHUNK masks.
+
+    The k-subsets with maximum element top are the (k-1)-subsets of
+    range(top) plus top, so a level too large for one block is split on its
+    top element until each part fits.
+    """
+    if math.comb(n, k) <= _CHUNK:
+        yield _level_masks(n, k, dtype) | dtype(prefix)
+        return
+    for top in range(k - 1, n):
+        yield from _colex_blocks(top, k - 1, dtype, prefix | 1 << top)
+
+
 def _prefilters(g: Graph) -> list[int]:
     """Node sets every dominating identifying code must intersect.
 
     The closed neighborhoods (domination) plus the smallest distinguishing
     sets of pairs within distance two; an empty distinguishing set means no
-    code of any size works.
+    code of any size works.  Sorted smallest first: a small set is missed by
+    the most subsets, so it discards the most candidates.
     """
     masks = [g.closed_neighborhood(v) for v in range(g.n)]
     ds = []
@@ -74,6 +97,7 @@ def _prefilters(g: Graph) -> list[int]:
             ds.append(g.distinguishing_set(u, v))
     ds.sort(key=lambda m: m.bit_count())
     masks.extend(ds[: max(0, _PREFILTER_CAP - len(masks))])
+    masks.sort(key=int.bit_count)
     return masks
 
 
@@ -104,18 +128,17 @@ def count_ics(
         return 0, solutions
     filter_arr = np.array(filters, dtype=dtype)
 
-    prev = _level_masks(n, k - 1, dtype) if k > 1 else np.zeros(1, dtype=dtype)
     total = 0
-    for top in range(k - 1, n):
-        block = prev[: math.comb(top, k - 1)] | dtype(1 << top)
-        for lo in range(0, len(block), _CHUNK):
-            chunk = block[lo : lo + _CHUNK]
-            alive = np.ones(len(chunk), dtype=bool)
-            for m in filter_arr:
-                alive &= (chunk & m) != 0
-            cand = chunk[alive]
+    for block in _colex_blocks(n, k, dtype):
+        cand = block
+        for lo in range(0, len(filter_arr), _FILTER_GROUP):
+            alive = np.ones(len(cand), dtype=bool)
+            for m in filter_arr[lo : lo + _FILTER_GROUP]:
+                alive &= (cand & m) != 0
+            cand = cand[alive]
             if len(cand) == 0:
-                continue
+                break
+        else:  # every group left survivors
             sig = cand[:, None] & nb[None, :]
             sig.sort(axis=1)
             good = (np.diff(sig, axis=1) != 0).all(axis=1)

@@ -138,10 +138,16 @@ def test_oracle_small_graph(tmp_path, capsys):
     assert "a,c" in out
 
 
-def test_oracle_classify_requires_sbg(tmp_path, capsys):
+def test_oracle_classify_requires_sbg(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("sbgkit.cli.count_ics", lambda *a, **kw: calls.append(a) or (0, []))
     gpath = tmp_path / "path.txt"
     gpath.write_text("a b\n")
     assert main(["oracle", "--graph", str(gpath), "--k", "1", "--classify"]) == 1
+    out, err = capsys.readouterr()
+    assert calls == []
+    assert out == ""
+    assert len(err.splitlines()) == 1
 
 
 def test_missing_graph_file_is_reported(capsys):

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import random_graph
+from sbgkit import oracle
 from sbgkit.encode import encode_ics
 from sbgkit.fixtures import example_graph
 from sbgkit.graph import Graph, mask_of
 from sbgkit.ics import is_ics, motif_class_sets
 from sbgkit.oracle import (
     OracleError,
+    _colex_blocks,
     _level_masks,
     classify_solutions,
     count_ics,
@@ -48,11 +50,33 @@ def test_count_full_subset():
         assert count == (1 if is_ics(g, (1 << g.n) - 1) else 0)
 
 
-def test_level_masks_are_all_subsets_in_colex_order():
-    for n in range(13):
-        for k in range(n + 1):
-            colex = sorted(itertools.combinations(range(n), k), key=lambda c: c[::-1])
-            assert _level_masks(n, k, np.uint32).tolist() == [mask_of(c) for c in colex]
+def test_level_masks_are_all_subsets_in_colex_order(monkeypatch):
+    # at the default _CHUNK no level of n <= 12 is split; the small chunks
+    # make the blocks recurse on their top element
+    for chunk in (oracle._CHUNK, 1, 3, 17):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        for n in range(13):
+            for k in range(n + 1):
+                colex = [mask_of(c) for c in sorted(
+                    itertools.combinations(range(n), k), key=lambda c: c[::-1]
+                )]
+                assert _level_masks(n, k, np.uint32).tolist() == colex
+                blocks = list(_colex_blocks(n, k, np.uint32))
+                assert all(len(b) <= chunk for b in blocks)
+                assert np.concatenate(blocks).tolist() == colex
+
+
+def test_small_chunk_changes_no_count(monkeypatch):
+    # split blocks, and blocks the prefilters empty before the last group
+    monkeypatch.setattr(oracle, "_CHUNK", 5)
+    rng = random.Random(17)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(1, 9), p=rng.uniform(0.1, 0.9))
+        k = rng.randint(0, g.n)
+        expected_count, expected = brute_count(g, k)
+        count, sols = count_ics(g, k, collect=True)
+        assert count == expected_count
+        assert sols == sorted(expected)  # colex order is increasing mask order
 
 
 def test_count_builds_no_level_it_never_reads():
@@ -67,6 +91,18 @@ def test_count_builds_no_level_it_never_reads():
         tracemalloc.stop()
     assert count == brute_count(path, 22)[0]
     assert peak < 1 << 20
+
+
+def test_sbg_scan_memory_is_bounded_by_the_block(sbg):
+    # the whole C(32, 9) level alone would be 107 MiB of masks
+    tracemalloc.start()
+    try:
+        count, sols = count_ics(sbg, 10, collect=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == len(sols) == 26
+    assert peak < 32 << 20
 
 
 def test_count_rejects_bad_k(sbg):
