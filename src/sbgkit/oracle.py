@@ -8,17 +8,20 @@ a sound prefilter (small distinguishing sets and the domination masks must
 all be hit) discarding almost all candidates before the exact distinctness
 check.
 
-The subsets arrive as blocks of at most ``_CHUNK`` masks, built by splitting
-the level on its top element until each part fits, so no level is ever held
-whole.  The prefilters are applied smallest set first, in groups of
-``_FILTER_GROUP``; after each group only the surviving candidates are kept,
-so later filters and the exact check see only those.  Memory is therefore
-bounded by the block size: the block and the arrays that build and filter
-it, plus the exact check's n-column signature matrix over the block's
-survivors (n times the block if the prefilters discard nothing).  On the 32-node soccer ball
-graph at k=10 the largest block holds 888,030 masks and the whole scan peaks
-at about 13 MiB of numpy allocations (tracemalloc); the C(32, 10) level
-held whole would be 246 MiB of masks.
+Each node has a 64-bit hit word whose bit i says the node lies in filter i,
+so a subset meets every filter exactly when the OR of its nodes' hit words is
+all ones: one compare per subset for all (at most 64) filters.
+
+The level is split on its top element into leaves of at most ``_CHUNK``
+subsets, each the r-subsets of some range(m) plus a fixed prefix.  The masks
+and hit words of the r-subsets are built once per r, and every leaf of size r
+reads a prefix of that cached level.  Memory is therefore bounded by
+``_CHUNK``: at most one cached level per leaf size, each at most ``_CHUNK``
+masks plus as many hit words, and the exact check's n-column signature matrix
+over one leaf's survivors.  On the 32-node soccer ball graph at k=10 the five
+cached levels hold 516,305 subsets and the whole scan peaks at about 7 MiB of
+numpy allocations (tracemalloc); the C(32, 10) level held whole would be
+246 MiB of masks.
 """
 
 from __future__ import annotations
@@ -31,9 +34,8 @@ import numpy as np
 from .graph import Graph, bits
 from .ics import MotifSet, motif_class_sets
 
-_CHUNK = 1 << 20
-_PREFILTER_CAP = 48
-_FILTER_GROUP = 8
+_CHUNK = 1 << 17
+_PREFILTER_CAP = 64  # one uint64 hit word holds every filter
 
 
 class OracleError(ValueError):
@@ -48,46 +50,75 @@ def _mask_dtype(n: int):
     raise OracleError(f"bitmask oracle supports at most 64 nodes, got {n}")
 
 
-def _level_masks(n: int, k: int, dtype) -> np.ndarray:
-    """All k-subset masks of range(n) in colex order.
+def _level(words: np.ndarray, k: int) -> np.ndarray:
+    """The OR of ``words[j]`` over each k-subset of range(len(words)), in
+    colex order.  With ``words[j] = 1 << j`` these are the subset masks.
 
     Built level by level: the k-subsets with maximum element j are exactly
     the (k-1)-subsets of range(j), which in colex order are a prefix of the
     previous level.  Level i is built only over range(n - k + i), the part
     the later levels read.
     """
-    cur = np.zeros(1, dtype=dtype)
+    n = len(words)
+    cur = np.zeros(1, dtype=words.dtype)
     for level in range(1, k + 1):
         parts = [
-            cur[: math.comb(j, level - 1)] | dtype(1 << j)
+            cur[: math.comb(j, level - 1)] | words[j]
             for j in range(level - 1, n - k + level)
         ]
-        cur = np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+        cur = np.concatenate(parts) if parts else np.zeros(0, dtype=words.dtype)
     return cur
 
 
-def _colex_blocks(n: int, k: int, dtype, prefix: int = 0):
-    """All k-subset masks of range(n), OR'd with *prefix*, in colex order,
-    as consecutive blocks of at most _CHUNK masks.
+def _leaves(
+    n: int, k: int, hw: list[int], prefix: int = 0, prefix_hit: int = 0
+):
+    """The k-subsets of range(n), OR'd with *prefix*, in colex order, as
+    leaves ``(m, r, prefix, prefix_hit)``: the at most _CHUNK r-subsets of
+    range(m), each OR'd with *prefix*, whose hit words *prefix_hit* joins.
 
     The k-subsets with maximum element top are the (k-1)-subsets of
-    range(top) plus top, so a level too large for one block is split on its
+    range(top) plus top, so a level too large for one leaf is split on its
     top element until each part fits.
     """
     if math.comb(n, k) <= _CHUNK:
-        yield _level_masks(n, k, dtype) | dtype(prefix)
+        yield n, k, prefix, prefix_hit
         return
     for top in range(k - 1, n):
-        yield from _colex_blocks(top, k - 1, dtype, prefix | 1 << top)
+        yield from _leaves(top, k - 1, hw, prefix | 1 << top, prefix_hit | hw[top])
+
+
+def _colex_blocks(n: int, k: int, hw: list[int], dtype):
+    """Per leaf of ``_leaves(n, k, hw)``: ``(masks, hits, prefix,
+    prefix_hit)``, with the masks and hit words of its r-subsets of range(m).
+
+    Both are prefixes of one level per r, built over range(M_r) for the
+    largest M_r <= n - k + r (a leaf of size r lies below k - r distinct top
+    elements) whose level fits in _CHUNK: in colex order the r-subsets of
+    range(m) come first among those of range(M_r).
+    """
+    units = np.array([1 << j for j in range(n)], dtype=dtype)
+    words = np.array(hw, dtype=np.uint64)
+    levels = {}
+    for m, r, prefix, prefix_hit in _leaves(n, k, hw):
+        if r not in levels:
+            top = n - k + r
+            while math.comb(top, r) > _CHUNK:
+                top -= 1
+            levels[r] = _level(units[:top], r), _level(words[:top], r)
+        masks, hits = levels[r]
+        c = math.comb(m, r)
+        yield masks[:c], hits[:c], prefix, prefix_hit
 
 
 def _prefilters(g: Graph) -> list[int]:
-    """Node sets every dominating identifying code must intersect.
+    """Node sets every dominating identifying code must intersect, at most
+    _PREFILTER_CAP of them.
 
     The closed neighborhoods (domination) plus the smallest distinguishing
     sets of pairs within distance two; an empty distinguishing set means no
-    code of any size works.  Sorted smallest first: a small set is missed by
-    the most subsets, so it discards the most candidates.
+    code of any size works.  The oracle takes at most 64 nodes, so the
+    closed neighborhoods alone never exceed the cap.
     """
     masks = [g.closed_neighborhood(v) for v in range(g.n)]
     ds = []
@@ -97,8 +128,17 @@ def _prefilters(g: Graph) -> list[int]:
             ds.append(g.distinguishing_set(u, v))
     ds.sort(key=lambda m: m.bit_count())
     masks.extend(ds[: max(0, _PREFILTER_CAP - len(masks))])
-    masks.sort(key=int.bit_count)
     return masks
+
+
+def _hit_words(filters: list[int], n: int) -> list[int]:
+    """Bit i of word j is set when node j is in filter i, so a subset meets
+    every filter exactly when the OR of its nodes' words is all ones."""
+    hw = [0] * n
+    for i, f in enumerate(filters):
+        for j in bits(f):
+            hw[j] |= 1 << i
+    return hw
 
 
 def count_ics(
@@ -126,25 +166,18 @@ def count_ics(
     filters = _prefilters(g)
     if any(m == 0 for m in filters):
         return 0, solutions
-    filter_arr = np.array(filters, dtype=dtype)
+    hw = _hit_words(filters, n)
+    full = np.uint64((1 << len(filters)) - 1)
 
     total = 0
-    for block in _colex_blocks(n, k, dtype):
-        cand = block
-        for lo in range(0, len(filter_arr), _FILTER_GROUP):
-            alive = np.ones(len(cand), dtype=bool)
-            for m in filter_arr[lo : lo + _FILTER_GROUP]:
-                alive &= (cand & m) != 0
-            cand = cand[alive]
-            if len(cand) == 0:
-                break
-        else:  # every group left survivors
-            sig = cand[:, None] & nb[None, :]
-            sig.sort(axis=1)
-            good = (np.diff(sig, axis=1) != 0).all(axis=1)
-            total += int(good.sum())
-            if solutions is not None:
-                solutions.extend(int(m) for m in cand[good])
+    for masks, hits, prefix, prefix_hit in _colex_blocks(n, k, hw, dtype):
+        cand = masks[(hits | np.uint64(prefix_hit)) == full] | dtype(prefix)
+        sig = cand[:, None] & nb[None, :]
+        sig.sort(axis=1)
+        good = (np.diff(sig, axis=1) != 0).all(axis=1)
+        total += int(good.sum())
+        if solutions is not None:
+            solutions.extend(int(m) for m in cand[good])
     return total, solutions
 
 

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 import tracemalloc
 
@@ -14,7 +16,9 @@ from sbgkit.ics import is_ics, motif_class_sets
 from sbgkit.oracle import (
     OracleError,
     _colex_blocks,
-    _level_masks,
+    _hit_words,
+    _level,
+    _prefilters,
     classify_solutions,
     count_ics,
     min_ics_size,
@@ -52,31 +56,64 @@ def test_count_full_subset():
 
 def test_level_masks_are_all_subsets_in_colex_order(monkeypatch):
     # at the default _CHUNK no level of n <= 12 is split; the small chunks
-    # make the blocks recurse on their top element
+    # make the leaves recurse on their top element and share cached levels
+    rng = random.Random(18)
     for chunk in (oracle._CHUNK, 1, 3, 17):
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
         for n in range(13):
+            hw = [rng.getrandbits(64) for _ in range(n)]
+            units = np.array([1 << j for j in range(n)], dtype=np.uint32)
             for k in range(n + 1):
-                colex = [mask_of(c) for c in sorted(
+                subsets = sorted(
                     itertools.combinations(range(n), k), key=lambda c: c[::-1]
-                )]
-                assert _level_masks(n, k, np.uint32).tolist() == colex
-                blocks = list(_colex_blocks(n, k, np.uint32))
-                assert all(len(b) <= chunk for b in blocks)
-                assert np.concatenate(blocks).tolist() == colex
+                )
+                colex = [mask_of(c) for c in subsets]
+                assert _level(units, k).tolist() == colex
+                blocks = list(_colex_blocks(n, k, hw, np.uint32))
+                assert all(len(masks) <= chunk for masks, *_ in blocks)
+                assert [
+                    int(m) | prefix for masks, _, prefix, _ in blocks for m in masks
+                ] == colex
+                assert [
+                    int(h) | prefix_hit
+                    for _, hits, _, prefix_hit in blocks
+                    for h in hits
+                ] == [functools.reduce(operator.or_, (hw[j] for j in c), 0)
+                      for c in subsets]
 
 
 def test_small_chunk_changes_no_count(monkeypatch):
-    # split blocks, and blocks the prefilters empty before the last group
-    monkeypatch.setattr(oracle, "_CHUNK", 5)
-    rng = random.Random(17)
-    for _ in range(40):
-        g = random_graph(rng, rng.randint(1, 9), p=rng.uniform(0.1, 0.9))
-        k = rng.randint(0, g.n)
-        expected_count, expected = brute_count(g, k)
-        count, sols = count_ics(g, k, collect=True)
-        assert count == expected_count
-        assert sols == sorted(expected)  # colex order is increasing mask order
+    # split leaves of several sizes, each reading a prefix of its cached level
+    for chunk in (1, 2, 5, 17):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        rng = random.Random(17)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(1, 9), p=rng.uniform(0.1, 0.9))
+            k = rng.randint(0, g.n)
+            expected_count, expected = brute_count(g, k)
+            count, sols = count_ics(g, k, collect=True)
+            assert count == expected_count
+            assert sols == sorted(expected)  # colex order is increasing mask order
+
+
+def test_prefilters_are_sound_and_the_hit_word_exact():
+    rng = random.Random(19)
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(1, 10), p=rng.uniform(0.1, 0.9))
+        filters = _prefilters(g)
+        assert len(filters) <= 64
+        for k in range(g.n + 1):
+            for code in brute_count(g, k)[1]:
+                assert all(code & f for f in filters)
+        hw = _hit_words(filters, g.n)
+        full = (1 << len(filters)) - 1
+        for sub in range(1 << g.n):
+            hit = functools.reduce(
+                operator.or_, (hw[j] for j in range(g.n) if sub >> j & 1), 0
+            )
+            assert (hit == full) == all(sub & f for f in filters)
+    for n in (40, 64):  # more pairs than the cap leaves room for
+        assert len(_prefilters(random_graph(rng, n))) <= 64
 
 
 def test_count_builds_no_level_it_never_reads():
@@ -102,7 +139,7 @@ def test_sbg_scan_memory_is_bounded_by_the_block(sbg):
     finally:
         tracemalloc.stop()
     assert count == len(sols) == 26
-    assert peak < 32 << 20
+    assert peak < 16 << 20
 
 
 def test_count_rejects_bad_k(sbg):
