@@ -3,10 +3,10 @@
 The decision "is there an identifying code of size <= b" becomes a PB
 formula with one 0/1 variable per node: a coverage constraint per node, a
 distinguishing constraint per node pair within distance two, and a budget.
-The bundled solver is a complete backtracking search that propagates
-clauses through two watched literals and the budget through slack counting,
-so UNSAT answers are exhaustive, and blocking constraints turn it into an
-all-solutions enumerator.
+The bundled solver is a complete backtracking search that keeps each
+constraint as literal bitmasks and propagates it from its slack, a few
+popcounts, so UNSAT answers are exhaustive, and blocking constraints turn it
+into an all-solutions enumerator.
 """
 
 from sbgkit import bits, build_sbg, encode_ics, enumerate_all, solve, write_opb

@@ -2,13 +2,12 @@
 
 The solver is a chronological backtracking search without clause learning;
 instance sizes targeted here (tens of variables) do not need it.  Its engine,
-_Search, propagates each constraint of degree 1 as a clause with two watched
-literals, so undoing an assignment costs nothing for clauses.  Only the other
-constraints, such as the cardinality budget, keep counting propagation: the
-slack, the largest left-hand side still reachable minus the degree, updated
-on every assignment to their variables.  Negative slack is a conflict; an
-unassigned literal whose coefficient exceeds the slack of its constraint is
-forced true.
+_Search, keeps the assignment as literal bitmasks and each constraint as its
+degree plus one literal mask per coefficient, so a constraint's slack, the
+largest left-hand side still reachable minus the degree, is a few popcounts.
+Negative slack is a conflict; every unassigned literal whose coefficient
+exceeds the slack is forced true, all of them in one trail entry.  A trail
+entry keeps the assignment from before it, so an undo restores a snapshot.
 
 Branching picks an unsatisfied constraint with the fewest unassigned
 literals and, within it, the literal whose variable appears in the most
@@ -76,218 +75,180 @@ class SolveResult:
 
 
 class _Search:
-    """The solver's search state: watched clauses, counted constraints, branching.
+    """The solver's search state on literal bitmasks, and its branching.
 
-    Literal ``2 * v + negated`` is false exactly when ``val[v] == negated``.
-    A constraint of degree 1 is a clause, whatever its coefficients; the
-    first two entries of its literal list are watched.  Every other
-    constraint keeps slack and need counters.  Constraints are indexed in
-    attachment order, and bit ``ci`` of a branching mask stands for
-    constraint ``ci``.
+    Literal ``2 * v + negated`` is bit ``2 * v + negated`` of a literal mask.
+    The assignment is three ints: ``false`` holds the false literals,
+    ``assigned`` both literals of each assigned variable, and ``sat`` the
+    constraints that one true literal satisfies alone.  A constraint is its
+    degree and ``[(coef, literal mask)]``, largest coefficient first; one
+    whose coefficients all reach its degree is kept as the clause
+    ``[(1, mask)]`` of degree 1.  Constraints are indexed in attachment
+    order, and bit ``ci`` of a constraint mask stands for constraint ``ci``.
+    A trail entry is the mask of the literals it made true plus the three
+    ints before it, so an undo restores a snapshot.
     """
 
     def __init__(self, num_vars: int):
-        self.val = [-1] * num_vars
-        self.trail: list[int] = []
+        self.num_vars = num_vars
+        self.even = sum(1 << 2 * v for v in range(num_vars))  # the plain literals
+        self.false = self.assigned = self.sat = 0
+        self.trail: list[tuple[int, int, int, int]] = []
         self.head = 0  # trail entries before head have been propagated
         self.stats = SolveStats()
-        # every constraint, for branching
-        self.terms: list[list[tuple[int, int, bool]]] = []  # (coef, var0, negated)
-        self.var_mask: list[int] = []  # the constraint's variables
-        self.occ_mask = [0] * num_vars  # the constraints on a variable
-        self.clause_mask = 0
-        self.sat_mask = [[0, 0] for _ in range(num_vars)]  # clauses a value satisfies
-        self.counted: list[int] = []  # indices of the counted constraints
-        # clauses; None for a counted constraint
-        self.lits: list[list[int] | None] = []
-        self.watches: list[list[int]] = [[] for _ in range(2 * num_vars)]
-        # counted constraints; zeros for a clause
-        self.maxcoef: list[int] = []
-        self.slack: list[int] = []
-        self.need: list[int] = []  # degree minus satisfied mass; <= 0 means satisfied
-        # per variable and assigned value: counted entries falsified/satisfied
-        self.fal: list[tuple[list, list]] = [([], []) for _ in range(num_vars)]
-        self.sat: list[tuple[list, list]] = [([], []) for _ in range(num_vars)]
-        # Constraints to check at the next propagate: counted ones, and
-        # clauses with a false watch, which an undo can leave unit or
-        # falsified without a watched literal falling.
+        self.cons: list[tuple[int, list[tuple[int, int]]]] = []  # (degree, groups)
+        self.lits: list[list[int]] = []  # literals in term order, for branching
+        self.mask: list[int] = []  # the constraint's literals
+        self.summed: list[int] = []  # indices of the constraints that are not clauses
+        self.occ = [0] * (2 * num_vars)  # the constraints containing a literal
+        self.sat_by = [0] * (2 * num_vars)  # the constraints a literal satisfies alone
+        # Constraints attached with slack below their largest coefficient,
+        # such as a blocking clause at a model: an undo can leave them
+        # forcing or falsified without any of their literals falling.
         self.recheck: list[int] = []
 
     def add_constraint(self, c: LinearConstraint) -> None:
         """Attach *c* under the current assignment; propagate checks it next."""
         if c.trivially_true:
             return
-        ci = len(self.terms)
-        terms = [(coef, lit.var - 1, lit.negated) for coef, lit in c.terms]
-        self.terms.append(terms)
-        mask = 0
-        for _, v, _ in terms:
-            mask |= 1 << v
-            self.occ_mask[v] |= 1 << ci
-        self.var_mask.append(mask)
-        val = self.val
-        if c.degree == 1:
-            self.clause_mask |= 1 << ci
-            for _, v, negated in terms:
-                self.sat_mask[v][1 - negated] |= 1 << ci
-            # Watch non-false literals first, then the false ones assigned
-            # latest.  An undo unassigns the latest assignments first, so
-            # while a watch is false every unwatched literal is false too.
-            when = {v: i for i, v in enumerate(self.trail)}
-            lits = sorted(
-                (2 * v + negated for _, v, negated in terms),
-                key=lambda l: (1, -when[l >> 1]) if val[l >> 1] == l & 1 else (0, 0),
-            )
-            if len(lits) >= 2:
-                self.watches[lits[0]].append(ci)
-                self.watches[lits[1]].append(ci)
-            self.lits.append(lits)
-            slack = need = maxcoef = 0
+        ci = len(self.cons)
+        bit = 1 << ci
+        lits = [2 * (lit.var - 1) + lit.negated for _, lit in c.terms]
+        mask = satisfying = 0
+        by_coef: dict[int, int] = {}
+        for (coef, _), l in zip(c.terms, lits):
+            mask |= 1 << l
+            by_coef[coef] = by_coef.get(coef, 0) | 1 << l
+            self.occ[l] |= bit
+            if coef >= c.degree:
+                satisfying |= 1 << l
+                self.sat_by[l] |= bit
+        if satisfying == mask:
+            self.cons.append((1, [(1, mask)]))
         else:
-            slack = -c.degree
-            need = c.degree
-            for coef, v, negated in terms:
-                true_value = 0 if negated else 1
-                self.sat[v][true_value].append((ci, coef))
-                self.fal[v][1 - true_value].append((ci, coef))
-                if val[v] == -1:
-                    slack += coef
-                elif val[v] == true_value:
-                    slack += coef
-                    need -= coef
-            self.lits.append(None)
-            self.counted.append(ci)
-            maxcoef = max((coef for coef, _, _ in terms), default=0)
-        self.maxcoef.append(maxcoef)
-        self.slack.append(slack)
-        self.need.append(need)
-        if not self._watched_open(ci):
+            self.cons.append((c.degree, sorted(by_coef.items(), reverse=True)))
+            self.summed.append(ci)
+        self.lits.append(lits)
+        self.mask.append(mask)
+        # sat follows from the assignment, also in the trail's snapshots
+        trail = self.trail
+        for i, (made, false, assigned, sat) in enumerate(trail):
+            if satisfying & assigned & ~false:
+                trail[i] = (made, false, assigned, sat | bit)
+        if satisfying & self.assigned & ~self.false:
+            self.sat |= bit
+        if self._tight(ci):
             self.recheck.append(ci)
 
+    def value(self, v: int) -> int:
+        """1 or 0 for an assigned variable, -1 for a free one."""
+        if not self.assigned >> 2 * v & 1:
+            return -1
+        return 0 if self.false >> 2 * v & 1 else 1
+
     def assign(self, v: int, b: int) -> None:
-        self.val[v] = b
-        self.trail.append(v)
-        slack, need = self.slack, self.need
-        for ci, coef in self.fal[v][b]:
-            slack[ci] -= coef
-        for ci, coef in self.sat[v][b]:
-            need[ci] -= coef
+        self._make_true(1 << 2 * v + 1 - b)
+
+    def _make_true(self, lits: int) -> None:
+        """Make the free literals in *lits* true in one trail entry."""
+        self.trail.append((lits, self.false, self.assigned, self.sat))
+        both = ((lits | lits >> 1) & self.even) * 3
+        self.assigned |= both
+        self.false |= both ^ lits
+        sat, sat_by = self.sat, self.sat_by
+        while lits:
+            low = lits & -lits
+            lits ^= low
+            sat |= sat_by[low.bit_length() - 1]
+        self.sat = sat
 
     def undo(self, mark: int) -> None:
-        """Unassign the trail back to length *mark*."""
-        trail, val, fal, sat = self.trail, self.val, self.fal, self.sat
-        slack, need = self.slack, self.need
-        while len(trail) > mark:
-            v = trail.pop()
-            b = val[v]
-            val[v] = -1
-            for ci, coef in fal[v][b]:
-                slack[ci] += coef
-            for ci, coef in sat[v][b]:
-                need[ci] += coef
+        """Restore the assignment from before trail entry *mark*."""
+        if mark < len(self.trail):
+            _, self.false, self.assigned, self.sat = self.trail[mark]
+            del self.trail[mark:]
         self.head = min(self.head, mark)
-        self.recheck = [ci for ci in self.recheck if not self._watched_open(ci)]
+        self.recheck = [ci for ci in self.recheck if self._tight(ci)]
 
-    def _watched_open(self, ci: int) -> bool:
-        """True iff *ci* is a clause whose two watched literals are non-false.
+    def _tight(self, ci: int) -> bool:
+        """True while *ci* may force or conflict.
 
-        No undo can then make it unit or falsified, and every falsification
-        of a watched literal is propagated, so it needs no recheck.
+        That is while its slack, the largest left-hand side still reachable
+        minus the degree, is below its largest coefficient.  An undo only
+        raises the slack.
         """
-        c, val = self.lits[ci], self.val
-        return (
-            c is not None and len(c) >= 2
-            and val[c[0] >> 1] != c[0] & 1 and val[c[1] >> 1] != c[1] & 1
-        )
+        degree, groups = self.cons[ci]
+        open_ = ~self.false
+        slack = sum(coef * (m & open_).bit_count() for coef, m in groups) - degree
+        return slack < groups[0][0]
 
-    def _force_counted(self, ci: int) -> bool:
-        """Force what counted constraint *ci* implies; False on a conflict."""
-        s = self.slack[ci]
-        if s < 0:
+    def _force(self, ci: int) -> bool:
+        """Force what constraint *ci* implies; False on a conflict."""
+        degree, groups = self.cons[ci]
+        open_ = ~self.false
+        if degree == 1:  # a clause
+            nf = groups[0][1] & open_
+            if nf & (nf - 1) or nf & self.assigned:
+                return True
+            if not nf:
+                self.stats.conflicts += 1
+                return False
+            self._make_true(nf)
+            self.stats.propagations += 1
+            return True
+        slack = -degree
+        for coef, m in groups:
+            slack += coef * (m & open_).bit_count()
+        if slack < 0:
             self.stats.conflicts += 1
             return False
-        if s < self.maxcoef[ci] and self.need[ci] > 0:
-            val = self.val
-            for coef, v, negated in self.terms[ci]:
-                if val[v] == -1 and coef > s:
-                    self.assign(v, 0 if negated else 1)
-                    self.stats.propagations += 1
+        forced = 0
+        for coef, m in groups:
+            if coef <= slack:
+                break
+            forced |= m
+        forced &= ~self.assigned
+        if forced:
+            self._make_true(forced)
+            self.stats.propagations += forced.bit_count()
         return True
 
     def _recheck(self) -> bool:
         """Propagate the constraints on the recheck list; False on a conflict.
 
-        A counted constraint leaves the list once its slack reaches its
-        largest coefficient, since an undo only raises the slack; a clause
-        leaves it in ``undo``, once both watched literals are non-false.
+        A constraint stays on the list while it is tight.
         """
-        val, lits = self.val, self.lits
         pending, self.recheck = self.recheck, []
         for i, ci in enumerate(pending):
-            c = lits[ci]
-            if c is None:
-                if not self._force_counted(ci):
-                    self.recheck += pending[i:]
-                    return False
-                if self.slack[ci] < self.maxcoef[ci]:
-                    self.recheck.append(ci)
-                continue
-            self.recheck.append(ci)
-            # a watch is false, so every unwatched literal is false
-            open_ = [l for l in c[:2] if val[l >> 1] != l & 1]
-            if not open_:
-                self.stats.conflicts += 1
-                self.recheck += pending[i + 1:]
+            if not self._force(ci):
+                self.recheck += pending[i:]
                 return False
-            if val[open_[0] >> 1] == -1:
-                self.assign(open_[0] >> 1, 1 - (open_[0] & 1))
-                self.stats.propagations += 1
+            if self._tight(ci):
+                self.recheck.append(ci)
         return True
 
     def propagate(self) -> bool:
-        """Propagate the unprocessed trail to fixpoint; False on a conflict."""
+        """Propagate the unprocessed trail to fixpoint; False on a conflict.
+
+        Each trail entry is one batch: the constraints on the literals it
+        made false, minus those already satisfied, in index order.
+        """
         if self.recheck and not self._recheck():
             return False
-        trail, val, lits, watches, fal = self.trail, self.val, self.lits, self.watches, self.fal
-        stats = self.stats
+        trail, occ = self.trail, self.occ
         while self.head < len(trail):
-            v = trail[self.head]
+            made = trail[self.head][0]
             self.head += 1
-            b = val[v]
-            false_lit = 2 * v + b
-            ws = watches[false_lit]
-            i = j = 0
-            end = len(ws)
-            while i < end:
-                ci = ws[i]
-                i += 1
-                c = lits[ci]
-                if c[0] == false_lit:
-                    c[0], c[1] = c[1], false_lit
-                first = c[0]
-                fv = val[first >> 1]
-                if fv != -1 and fv != first & 1:  # satisfied by the other watch
-                    ws[j] = ci
-                    j += 1
-                    continue
-                for k in range(2, len(c)):
-                    lk = c[k]
-                    if val[lk >> 1] != lk & 1:
-                        c[1], c[k] = lk, false_lit
-                        watches[lk].append(ci)
-                        break
-                else:
-                    ws[j] = ci
-                    j += 1
-                    if fv != -1:
-                        stats.conflicts += 1
-                        ws[j:i] = []
-                        return False
-                    self.assign(first >> 1, 1 - (first & 1))
-                    stats.propagations += 1
-            del ws[j:]
-            for ci, _ in fal[v][b]:
-                if not self._force_counted(ci):
+            touched = 0
+            while made:
+                low = made & -made
+                made ^= low
+                touched |= occ[low.bit_length() - 1 ^ 1]
+            touched &= ~self.sat
+            while touched:
+                low = touched & -touched
+                touched ^= low
+                if not self._force(low.bit_length() - 1):
                     return False
         return True
 
@@ -296,22 +257,24 @@ class _Search:
 
         The unsatisfied constraint with the fewest unassigned literals
         (lowest index on ties), and in it the unassigned variable in the
-        most unsatisfied constraints (first in term order on ties).
+        most unsatisfied constraints (first in term order on ties).  At a
+        propagation fixpoint every unsatisfied constraint has at least two
+        unassigned literals, so the scan stops at the first with two.
         """
-        val, sat_mask = self.val, self.sat_mask
-        satisfied = assigned = 0
-        for v in self.trail:
-            satisfied |= sat_mask[v][val[v]]
-            assigned |= 1 << v
-        unsat = self.clause_mask & ~satisfied
-        need = self.need
-        for ci in self.counted:
-            if need[ci] > 0:
-                unsat |= 1 << ci
+        unsat = ((1 << len(self.cons)) - 1) & ~self.sat
+        true = self.assigned & ~self.false
+        cons = self.cons
+        for ci in self.summed:
+            if unsat >> ci & 1:
+                need, groups = cons[ci]
+                for coef, m in groups:
+                    need -= coef * (m & true).bit_count()
+                if need <= 0:
+                    unsat ^= 1 << ci
         if not unsat:
             return None
-        var_mask = self.var_mask
-        free = ~assigned
+        mask = self.mask
+        free = ~self.assigned
         best_ci = -1
         best_k = 1 << 30
         rest = unsat
@@ -319,18 +282,20 @@ class _Search:
             low = rest & -rest
             rest ^= low
             ci = low.bit_length() - 1
-            k = (var_mask[ci] & free).bit_count()
+            k = (mask[ci] & free).bit_count()
             if k < best_k:
                 best_ci, best_k = ci, k
-        occ_mask = self.occ_mask
+                if k == 2:
+                    break
+        occ = self.occ
         best = None
         best_score = -1
-        for _, v, negated in self.terms[best_ci]:
-            if val[v] == -1:
-                score = (occ_mask[v] & unsat).bit_count()
+        for l in self.lits[best_ci]:
+            if free >> l & 1:
+                score = ((occ[l] | occ[l ^ 1]) & unsat).bit_count()
                 if score > best_score:
                     best_score = score
-                    best = (v, negated)
+                    best = (l >> 1, bool(l & 1))
         return best
 
     def search(self, node_limit: int, on_model, split_vars: tuple[int, ...] = ()) -> None:
@@ -352,11 +317,11 @@ class _Search:
                 branch = self.pick_branch()
                 if branch is None:
                     for v in split_vars:
-                        if self.val[v] == -1:
+                        if self.value(v) == -1:
                             branch = (v, False)
                             break
                 if branch is None:
-                    model = [x if x != -1 else 0 for x in self.val]
+                    model = [max(self.value(v), 0) for v in range(self.num_vars)]
                     on_model(model)
                     conflict = True
                     continue

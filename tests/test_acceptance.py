@@ -28,7 +28,7 @@ from sbgkit.graph import build_sbg, mask_of, parse_edge_list, write_edge_list
 from sbgkit.ics import color_table, is_ics
 from sbgkit.oracle import classify_solutions, count_ics, min_ics_size
 from sbgkit.proof import VerifyError, add, divide, multiply, parse_proof, saturate, verify
-from sbgkit.solve import enumerate_all, solve
+from sbgkit.solve import SolveLimitReached, enumerate_all, solve
 
 
 def report(criterion, message):
@@ -133,10 +133,14 @@ def test_criterion_5_upper_bound_and_count(sbg, oracle_counts):
     assert min_ics_size(sbg, 12) == 10
 
     t = time.time()
-    exact = enumerate_all(encode_ics(sbg, 10, exact=True))
+    # the search tree: 55,358 decisions exhaust it, one fewer does not
+    exact = enumerate_all(encode_ics(sbg, 10, exact=True), node_limit=55_358)
     enum_time = time.time() - t
     assert enum_time < 600
     assert len(exact) == 26
+    with pytest.raises(SolveLimitReached) as exc:
+        enumerate_all(encode_ics(sbg, 10, exact=True), node_limit=55_357)
+    assert exc.value.stats.decisions == 55_357
     assert sorted(a.code_mask() for a in exact) == sorted(sols)
 
     # the plain <=10 budget must coincide: no smaller code exists

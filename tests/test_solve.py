@@ -269,10 +269,33 @@ def _decision(v, b):
     return LinearConstraint(((1, Literal(v + 1, b == 0)),), 1)
 
 
+def _unsatisfied(c, value):
+    return sum(coef for coef, lit in c.terms if value(lit.var - 1) == 1 - lit.negated) < c.degree
+
+
+def _reference_branch(cons, value):
+    """pick_branch's rule by a full scan of the attached constraints."""
+    attached = [c for c in cons if not c.trivially_true]
+    unsat = [i for i, c in enumerate(attached) if _unsatisfied(c, value)]
+    if not unsat:
+        return None
+
+    def free(i):
+        return [lit for _, lit in attached[i].terms if value(lit.var - 1) == -1]
+
+    best = min(unsat, key=lambda i: (len(free(i)), i))
+    lit = max(  # the first of the best-scored literals
+        free(best),
+        key=lambda lit: sum(lit.var in attached[i].support() for i in unsat),
+    )
+    return (lit.var - 1, lit.negated)
+
+
 def test_search_engine_propagates_like_a_fresh_counting_engine():
-    # random decide / undo / attach sequences; at every fixpoint the watched
+    # random decide / undo / attach sequences; at every fixpoint the bitmask
     # engine's verdict and assigned literals equal a fresh counting engine's
-    # over the same constraints plus the decisions as unit constraints
+    # over the same constraints plus the decisions as unit constraints, and
+    # its branch equals a full scan's
     rng = random.Random(12)
     fixpoints = attached_at_total = 0
     for _ in range(1500):
@@ -290,15 +313,21 @@ def test_search_engine_propagates_like_a_fresh_counting_engine():
                 ref.add_constraint(c)
             assert ok == ref.root_propagate()
             if ok:
-                assert len(set(eng.trail)) == len(eng.trail)
-                assert {(v, eng.val[v]) for v in eng.trail} == {
-                    (v, ref.val[v]) for v in ref.trail
-                }
+                assigned = {(v, eng.value(v)) for v in range(n) if eng.value(v) != -1}
+                # each trail entry makes its literals true once, for free variables
+                assert sum(entry[0].bit_count() for entry in eng.trail) == len(assigned)
+                assert assigned == {(v, ref.val[v]) for v in ref.trail}
+                # no unsatisfied constraint is left with fewer than two free
+                # variables, which is what lets pick_branch stop early
+                for c in cons:
+                    if _unsatisfied(c, eng.value):
+                        assert sum(eng.value(lit.var - 1) == -1 for _, lit in c.terms) >= 2
+                assert eng.pick_branch() == _reference_branch(cons, eng.value)
             return ok
 
         ok = at_fixpoint()
         for _ in range(20):
-            free = [v for v in range(n) if eng.val[v] == -1]
+            free = [v for v in range(n) if eng.value(v) == -1]
             roll = rng.random()
             if not ok or (decisions and roll < 0.3):
                 if not decisions:
@@ -317,7 +346,7 @@ def test_search_engine_propagates_like_a_fresh_counting_engine():
                     # a blocking clause of the total assignment, as at a model
                     block = rng.sample(range(n), rng.randint(1, n))
                     c = LinearConstraint(tuple(
-                        (rng.randint(1, 2), Literal(v + 1, eng.val[v] == 1)) for v in block
+                        (rng.randint(1, 2), Literal(v + 1, eng.value(v) == 1)) for v in block
                     ), 1)
                     attached_at_total += 1
                 cons.append(c)
