@@ -16,12 +16,15 @@ Enumeration runs a single search tree: each model found is excluded by
 attaching its blocking constraint on the fly and treating the model as a
 conflict, so the total work is one refutation of the fully blocked formula.
 
-The proof verifier does not share that engine.  _Engine is its own counting
-propagation over every constraint, kept slow and obvious so that a bug in
-one propagator cannot make the solver and the checker agree wrongly.
-RupChecker runs the verifier's reverse-unit-propagation checks on one such
-engine for the whole proof; propagates_to_conflict, which builds a fresh
-engine per call, is the reference the tests hold both engines to.
+The proof verifier shares no code with that engine.  RupChecker runs its
+reverse-unit-propagation checks on literal bitmasks of its own, over
+variables numbered densely in the order it meets them.  It holds the stored
+constraints at their root propagation fixpoint as two ints and propagates
+each check's assumption from that snapshot, then throws the result away.
+_Engine is a counting propagation over per-variable occurrence lists, kept
+slow and obvious; propagates_to_conflict builds a fresh one per call and is
+the reference the tests hold both RupChecker and _Search to, so that a bug
+in one propagator cannot make the solver and the checker agree wrongly.
 """
 
 from __future__ import annotations
@@ -421,26 +424,18 @@ def enumerate_all(
 
 
 class _Engine:
-    """Counting propagation for the proof verifier; never searches."""
+    """Counting propagation, built fresh for each propagates_to_conflict call."""
 
     def __init__(self, num_vars: int):
         self.terms: list[list[tuple[int, int, bool]]] = []  # (coef, var0, negated)
         self.maxcoef: list[int] = []
         self.slack: list[int] = []
         self.need: list[int] = []  # degree minus satisfied mass; <= 0 means satisfied
-        self.val: list[int] = []
+        self.val = [-1] * num_vars
         # per variable and assigned value: constraint entries falsified/satisfied
-        self.fal: list[tuple[list, list]] = []
-        self.sat: list[tuple[list, list]] = []
+        self.fal: list[tuple[list, list]] = [([], []) for _ in range(num_vars)]
+        self.sat: list[tuple[list, list]] = [([], []) for _ in range(num_vars)]
         self.trail: list[int] = []
-        self.grow(num_vars)
-
-    def grow(self, num_vars: int) -> None:
-        """Make room for variables up to *num_vars*, all unassigned."""
-        extra = num_vars - len(self.val)
-        self.val += [-1] * extra
-        self.fal += [([], []) for _ in range(extra)]
-        self.sat += [([], []) for _ in range(extra)]
 
     def add_constraint(self, c: LinearConstraint) -> None:
         """Attach a constraint, with slack computed under the current assignment."""
@@ -464,16 +459,6 @@ class _Engine:
         self.slack.append(slack)
         self.need.append(need)
 
-    def remove_last(self) -> None:
-        """Detach the constraint attached last; its entries end every list."""
-        for _, v, negated in self.terms.pop():
-            true_value = 0 if negated else 1
-            self.sat[v][true_value].pop()
-            self.fal[v][1 - true_value].pop()
-        self.maxcoef.pop()
-        self.slack.pop()
-        self.need.pop()
-
     def assign(self, v: int, b: int) -> None:
         self.val[v] = b
         self.trail.append(v)
@@ -482,21 +467,6 @@ class _Engine:
             slack[ci] -= coef
         for ci, coef in self.sat[v][b]:
             need[ci] -= coef
-
-    def unassign(self, v: int) -> None:
-        b = self.val[v]
-        self.val[v] = -1
-        slack, need = self.slack, self.need
-        for ci, coef in self.fal[v][b]:
-            slack[ci] += coef
-        for ci, coef in self.sat[v][b]:
-            need[ci] += coef
-
-    def undo(self, mark: int) -> None:
-        """Unassign the trail back to length *mark*."""
-        trail = self.trail
-        while len(trail) > mark:
-            self.unassign(trail.pop())
 
     def force(self, entries) -> bool:
         """Force the literals that the constraints in *entries* imply.
@@ -549,24 +519,39 @@ def propagates_to_conflict(
 class RupChecker:
     """Reverse-unit-propagation checks against a growing set of constraints.
 
-    One engine holds the stored constraints at their root propagation
-    fixpoint.  ``refutes`` attaches the assumption, propagates from the
-    trail mark, then undoes the trail and detaches the assumption, so a
-    check costs the propagation it triggers, not a rebuild over every
-    stored constraint.  Its verdict equals ``propagates_to_conflict`` over
-    the stored constraints plus the assumption.
+    The i-th variable the checker meets gets literal bits ``2 * i`` (plain)
+    and ``2 * i + 1`` (negated), so a proof that names ``x4000000000`` costs
+    two bits, not a mask as wide as the id.  A constraint is its degree and
+    ``[(coef, literal mask)]``, largest coefficient first, and bit ``ci`` of
+    a constraint mask stands for constraint ``ci``.  The stored constraints
+    are held at their root propagation fixpoint as two ints: the false
+    literals and the constraints that one true literal satisfies alone.
+    ``refutes`` propagates the assumption from that snapshot and throws the
+    result away, so there is no trail and no undo, and a check costs only
+    the constraints it touches.  Its verdict equals
+    ``propagates_to_conflict`` over the stored constraints plus the
+    assumption.
     """
 
     def __init__(self) -> None:
-        self._eng = _Engine(0)
+        self._bit: dict[int, int] = {}  # variable -> bit of its plain literal
+        self._cons: list[tuple[int, list[tuple[int, int]]]] = []  # (degree, groups)
+        self._occ: list[int] = []  # per literal: the constraints containing it
+        self._sat_by: list[int] = []  # per literal: the constraints it satisfies alone
+        self._false = self._sat = 0  # the root fixpoint
         # Once the stored constraints conflict, every assumption is refuted:
         # a fresh propagation over more constraints still reaches a conflict.
         self._conflict = False
 
     def store(self, c: LinearConstraint) -> None:
         """Keep *c* for every later check."""
-        if not self._conflict and not c.trivially_true:
-            self._conflict = not self._attach(c)
+        if self._conflict or c.trivially_true:
+            return
+        fixpoint = self._propagate(self._false, self._sat, self._attach(c))
+        if fixpoint is None:
+            self._conflict = True
+        else:
+            self._false, self._sat = fixpoint
 
     def refutes(self, assumption: LinearConstraint) -> bool:
         """True iff propagation refutes the stored constraints plus *assumption*."""
@@ -574,16 +559,72 @@ class RupChecker:
             return True
         if assumption.trivially_true:
             return False
-        mark = len(self._eng.trail)
-        refuted = not self._attach(assumption)
-        self._eng.undo(mark)
-        self._eng.remove_last()
+        known = len(self._bit)
+        bit = self._attach(assumption)
+        refuted = self._propagate(self._false, self._sat, bit) is None
+        self._cons.pop()
+        for _, lit in assumption.terms:
+            l = self._bit[lit.var] + lit.negated
+            self._occ[l] &= ~bit
+            self._sat_by[l] &= ~bit
+        while len(self._bit) > known:  # forget the variables it introduced
+            self._bit.popitem()
+        del self._occ[2 * known:], self._sat_by[2 * known:]
         return refuted
 
-    def _attach(self, c: LinearConstraint) -> bool:
-        """Attach *c* and propagate what it forces; False on a conflict."""
-        eng = self._eng
-        mark = len(eng.trail)
-        eng.grow(c.max_var())
-        eng.add_constraint(c)
-        return eng.force([(len(eng.terms) - 1, None)]) and eng.propagate(mark)
+    def _attach(self, c: LinearConstraint) -> int:
+        """Index *c*, which is not trivially true; its constraint bit."""
+        bit = 1 << len(self._cons)
+        groups: dict[int, int] = {}
+        for coef, lit in c.terms:
+            if lit.var not in self._bit:
+                self._bit[lit.var] = len(self._occ)
+                self._occ += (0, 0)
+                self._sat_by += (0, 0)
+            l = self._bit[lit.var] + lit.negated
+            groups[coef] = groups.get(coef, 0) | 1 << l
+            self._occ[l] |= bit
+            if coef >= c.degree:
+                self._sat_by[l] |= bit
+        self._cons.append((c.degree, sorted(groups.items(), reverse=True)))
+        return bit
+
+    def _propagate(self, false: int, sat: int, todo: int) -> tuple[int, int] | None:
+        """Propagate the constraints in *todo* to fixpoint from *false*, *sat*.
+
+        Returns the fixpoint's ``(false, sat)``, or None on a conflict.  The
+        constraints in *sat* are skipped: one true literal with coef >= degree
+        leaves slack >= every coefficient that is not false, so such a
+        constraint can neither conflict nor force.
+        """
+        cons, occ, sat_by = self._cons, self._occ, self._sat_by
+        even = ((1 << 2 * len(self._bit)) - 1) // 3  # the plain literals
+        todo &= ~sat
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            degree, groups = cons[low.bit_length() - 1]
+            open_ = ~false
+            slack = -degree
+            for coef, m in groups:
+                slack += coef * (m & open_).bit_count()
+            if slack < 0:
+                return None
+            if slack >= groups[0][0]:
+                continue
+            forced = 0
+            for coef, m in groups:
+                if coef <= slack:
+                    break
+                forced |= m
+            true = (false & even) << 1 | false >> 1 & even
+            forced &= ~(false | true)
+            false |= (forced & even) << 1 | forced >> 1 & even
+            while forced:
+                low = forced & -forced
+                forced ^= low
+                l = low.bit_length() - 1
+                todo |= occ[l ^ 1]
+                sat |= sat_by[l]
+            todo &= ~sat
+        return false, sat

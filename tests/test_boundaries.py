@@ -2,7 +2,9 @@
 
 The oracle must share nothing with the solver or the verifier, and the
 verifier may take only its RUP checker from solve.py, so that a bug in the
-solver's search engine cannot make two routes agree wrongly.
+solver's search engine cannot make two routes agree wrongly.  The RUP
+checker in turn uses neither the solver's engine nor the counting engine
+that the tests hold it to.
 """
 
 import ast
@@ -41,17 +43,25 @@ def _imports(name):
     return out
 
 
-def _names(name):
-    """Every identifier *name* uses: names, attributes and imported names."""
+def _names(node):
+    """Every identifier under *node*: names, attributes and imported names."""
     out = set()
-    for node in ast.walk(_tree(name)):
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        elif isinstance(node, ast.alias):
-            out.add(node.name.rsplit(".", 1)[-1])
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name.rsplit(".", 1)[-1])
     return out
+
+
+def _class(name, cls):
+    """The definition of class *cls* in module file *name*."""
+    (node,) = (
+        n for n in ast.walk(_tree(name)) if isinstance(n, ast.ClassDef) and n.name == cls
+    )
+    return node
 
 
 def test_the_oracle_imports_nothing_from_solver_encoder_or_verifier():
@@ -67,5 +77,13 @@ def test_the_verifier_takes_only_the_rup_checker_from_solve():
 
 
 def test_only_solve_names_the_search_engine():
-    users = sorted(p.name for p in SRC.glob("*.py") if "_Search" in _names(p.name))
+    users = sorted(p.name for p in SRC.glob("*.py") if "_Search" in _names(_tree(p.name)))
     assert users == ["solve.py"]
+
+
+def test_the_rup_checker_uses_neither_the_search_nor_the_reference_engine():
+    assert not _names(_class("solve.py", "RupChecker")) & {"_Search", "_Engine"}
+
+
+def test_the_search_engine_does_not_use_the_rup_checker():
+    assert "RupChecker" not in _names(_class("solve.py", "_Search"))

@@ -1,9 +1,11 @@
-import importlib
+import copy
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
+import sbgkit.proof as proof_module
 from sbgkit.encode import (
     Assignment,
     LinearConstraint,
@@ -27,8 +29,6 @@ from sbgkit.proof import (
     verify,
 )
 from sbgkit.solve import RupChecker, propagates_to_conflict
-
-solve_module = importlib.import_module("sbgkit.solve")  # the package re-exports solve()
 
 
 def random_constraint(rng, n_vars, max_terms=5):
@@ -307,21 +307,72 @@ def test_rup_checker_agrees_with_fresh_propagation():
     assert root_conflicts > 50, root_conflicts
 
 
+def test_rup_checker_agrees_on_sparse_huge_variable_ids():
+    # as above, with the checker's variables mapped through a random
+    # injection into 1..10**12; the reference sees only the unmapped ids
+    rng = random.Random(8)
+    verdicts = {True: 0, False: 0}
+    for _ in range(1500):
+        n = rng.randint(1, 7)
+        ids = rng.sample(range(1, 10**12 + 1), n)
+
+        def mapped(c):
+            terms = tuple((coef, Literal(ids[lit.var - 1], lit.negated)) for coef, lit in c.terms)
+            return LinearConstraint(terms, c.degree)
+
+        checker = RupChecker()
+        stored = []
+        for _ in range(rng.randint(1, 8)):
+            c = random_constraint(rng, n, max_terms=4)
+            if rng.random() < 0.4:
+                checker.store(mapped(c))
+                stored.append(c)
+                continue
+            negation = negation_of(c)
+            verdict = checker.refutes(mapped(negation))
+            assert verdict == propagates_to_conflict(stored + [negation], n), (stored, c)
+            verdicts[verdict] += 1
+            if verdict:
+                checker.store(mapped(c))
+                stored.append(c)
+    assert min(verdicts.values()) > 1000, verdicts
+
+
+def test_refutes_leaves_the_checker_as_it_was():
+    # whatever the verdict, and also when the assumption names variables
+    # that no stored constraint has, a check changes none of the state
+    rng = random.Random(11)
+    verdicts = {True: 0, False: 0}
+    new_variables = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        checker = RupChecker()
+        for _ in range(rng.randint(0, 5)):
+            checker.store(random_constraint(rng, n, max_terms=4))
+        for _ in range(3):
+            assumption = random_constraint(rng, n + 2, max_terms=4)
+            before = copy.deepcopy(vars(checker))
+            verdicts[checker.refutes(assumption)] += 1
+            assert vars(checker) == before
+            new_variables += assumption.max_var() > n
+    assert min(verdicts.values()) > 300 and new_variables > 500, (verdicts, new_variables)
+
+
 # the fixture proof with two u steps after the contradiction at id 14 is derived
 LATE_RUP_PROOF = EXAMPLE_UNSAT_PROOF.replace(
     "c 14 0", "u +1 x1 >= 1 ;\nu +1 x2 +1 ~x4 +1 x6 >= 1 ;\nc 14 0"
 )
 
 
-def test_verify_builds_one_engine(example, monkeypatch):
+def test_verify_builds_one_rup_checker(example, monkeypatch):
     built = []
 
-    class CountingEngine(solve_module._Engine):
-        def __init__(self, num_vars):
-            built.append(num_vars)
-            super().__init__(num_vars)
+    class CountingChecker(RupChecker):
+        def __init__(self):
+            built.append(self)
+            super().__init__()
 
-    monkeypatch.setattr(solve_module, "_Engine", CountingEngine)
+    monkeypatch.setattr(proof_module, "RupChecker", CountingChecker)
     assert verify(example, parse_proof(LATE_RUP_PROOF)).contradiction_id == 14
     assert len(built) == 1
 
@@ -348,3 +399,22 @@ def test_rup_and_polish_beyond_formula_variables(example):
         verify(example, parse_proof(head + "u +1 x9 >= 1 ;\n"))
     assert err.value.line_no == 4
     assert "propagation does not refute" in str(err.value)
+
+
+def test_rup_on_a_huge_variable_id_costs_two_bits(example):
+    # the checker numbers variables densely, so x4000000000 takes two literal
+    # bits, not a mask as wide as its id
+    text = (
+        "pseudo-Boolean proof version 1.0\nl 1\n"
+        "u +1 x1 +1 x2 +1 x3 +1 x4000000000 >= 1 ;\n"
+        "l 5\nl 6\nl 7\np 3 4 + 5 + 0\nc 6 0\n"
+    )
+    tracemalloc.start()
+    try:
+        outcome = verify(example, parse_proof(text))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.contradiction_id == 6
+    assert outcome.db.constraints[2].max_var() == 4_000_000_000
+    assert peak < 1 << 20, peak

@@ -1,4 +1,3 @@
-import copy
 import itertools
 import random
 
@@ -214,37 +213,6 @@ def test_propagation_chains_through_cardinality():
         LinearConstraint(((1, Literal(2, True)),), 1),
     ]
     assert propagates_to_conflict(cons, 2)
-
-
-def _engine_state(eng):
-    return {k: copy.deepcopy(v) for k, v in vars(eng).items() if k != "stats"}
-
-
-def test_undo_and_remove_last_restore_the_engine():
-    # attach, propagate, undo to the mark and detach: every list and counter
-    # is back where it was, including after growth to a wider constraint
-    rng = random.Random(11)
-    checked = 0
-    for _ in range(300):
-        n = rng.randint(1, 6)
-        eng = _Engine(n)
-        for c in random_formula(rng, n, rng.randint(0, 5)).constraints:
-            eng.add_constraint(c)
-        if not eng.root_propagate():
-            continue
-        for c in random_formula(rng, n + 2, 3).constraints:
-            if c.trivially_true:
-                continue
-            eng.grow(n + 2)
-            before = _engine_state(eng)
-            mark = len(eng.trail)
-            eng.add_constraint(c)
-            eng.force([(len(eng.terms) - 1, None)]) and eng.propagate(mark)
-            eng.undo(mark)
-            eng.remove_last()
-            assert _engine_state(eng) == before
-            checked += 1
-    assert checked > 300
 
 
 # -- the solver's engine against the verifier's counting propagation -------------
