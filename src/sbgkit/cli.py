@@ -21,6 +21,7 @@ from .encode import (
     Assignment,
     EncodeError,
     OpbError,
+    _is_digits,
     encode_ics,
     parse_opb,
     write_opb,
@@ -117,7 +118,7 @@ def _parse_projection(f, selector: str | None) -> list[int] | None:
     want = [s.strip() for s in selector.split(",") if s.strip()]
     out = []
     for token in want:
-        if token.startswith("x") and token[1:].isdecimal():
+        if token.startswith("x") and _is_digits(token[1:]):
             try:
                 out.append(int(token[1:]))
             except ValueError:  # over Python's integer-string limit

@@ -312,9 +312,16 @@ def blocking_constraint(
 # signed-coefficient form, e.g. "+1 x1 -2 x7 >= 0 ;".
 
 
-_HEADER_RE = re.compile(r"\*\s*#variable=\s*(\d+)\s+#constraint=\s*(\d+)\s*$")
-_VAR_RE = re.compile(r"(~?)x([1-9]\d*)$")
-_INT_RE = re.compile(r"[+-]?\d+$")
+# Numbers are ASCII digits only: re.ASCII keeps \d from matching other
+# Unicode digits, which int() would accept.
+_HEADER_RE = re.compile(r"\*\s*#variable=\s*(\d+)\s+#constraint=\s*(\d+)\s*$", re.ASCII)
+_VAR_RE = re.compile(r"(~?)x([1-9]\d*)$", re.ASCII)
+_INT_RE = re.compile(r"[+-]?\d+$", re.ASCII)
+
+
+def _is_digits(text: str) -> bool:
+    """True iff *text* is a nonempty run of ASCII digits ``0-9``."""
+    return text.isascii() and text.isdecimal()
 
 
 def _parse_int(token: str, line_no: int, error: type = OpbError) -> int:

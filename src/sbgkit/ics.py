@@ -26,15 +26,14 @@ def signatures(g: Graph, code: int) -> tuple[int, ...]:
     return tuple(g.closed_neighborhood(v) & code for v in range(g.n))
 
 
-def is_ics(g: Graph, code: int, require_domination: bool = True) -> bool:
+def is_ics(g: Graph, code: int) -> bool:
     """Decide whether *code* identifies every node of *g*.
 
-    With ``require_domination`` (the default) every node must also receive at
-    least one color; without it a single node may have an empty signature.
+    Every node must also receive at least one color: the code dominates.
     """
     seen = set()
     for sig in signatures(g, code):
-        if require_domination and sig == 0:
+        if sig == 0:
             return False
         if sig in seen:
             return False

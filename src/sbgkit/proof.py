@@ -15,6 +15,10 @@ pops two constraints and pushes their sum; ``<int> *`` and ``<int> d``
 multiply/divide the top by a positive integer; ``s`` saturates the top.
 Deletion directives and the richer redundance-style rules of newer formats
 are recognized and rejected loudly, never skipped.
+
+The verifier is a route of its own and imports only the data model and OPB
+parsing from encode.  Its RupChecker checks ``u`` steps on literal bitmasks
+of its own, sharing no code with the solver's search engine in solve.
 """
 
 from __future__ import annotations
@@ -28,13 +32,14 @@ from .encode import (
     Literal,
     PBFormula,
     from_signed,
+    normalize,
     parse_constraint_tokens,
     OpbError,
     _INT_RE,
     _VAR_RE,
+    _is_digits,
     _parse_int,
 )
-from .solve import RupChecker
 
 PROOF_HEADER = "pseudo-Boolean proof version 1.0"
 
@@ -74,12 +79,7 @@ def axiom_literal(lit: Literal) -> LinearConstraint:
 
 def add(c1: LinearConstraint, c2: LinearConstraint) -> LinearConstraint:
     """Sum of two constraints with opposite-literal cancellation."""
-    items1, rhs1 = c1.signed_items()
-    items2, rhs2 = c2.signed_items()
-    signed: dict[int, int] = {}
-    for coef, var in items1 + items2:
-        signed[var] = signed.get(var, 0) + coef
-    return from_signed(signed, rhs1 + rhs2)
+    return normalize(c1.terms + c2.terms, ">=", c1.degree + c2.degree)[0]
 
 
 def multiply(c: LinearConstraint, alpha: int) -> LinearConstraint:
@@ -213,7 +213,7 @@ def parse_proof(text: str) -> list[ProofStep]:
                 raise ProofParseError(line_no, f"bad 'u' constraint: {exc.message}") from None
             steps.append(ProofStep("rup", line_no, constraint=parsed[0]))
         elif directive == "l":
-            index = _proof_int(rest, line_no) if rest.isdecimal() else 0
+            index = _proof_int(rest, line_no) if _is_digits(rest) else 0
             if index < 1:
                 raise ProofParseError(line_no, f"'l' expects a 1-based index, got {rest!r}")
             steps.append(ProofStep("load", line_no, index=index))
@@ -225,7 +225,7 @@ def parse_proof(text: str) -> list[ProofStep]:
             steps.append(ProofStep("polish", line_no, tokens=ops))
         elif directive == "c":
             parts = rest.split()
-            if len(parts) != 2 or parts[1] != "0" or not parts[0].isdecimal():
+            if len(parts) != 2 or parts[1] != "0" or not _is_digits(parts[0]):
                 raise ProofParseError(line_no, "'c' expects '<id> 0'")
             steps.append(ProofStep("contradiction", line_no, index=_proof_int(parts[0], line_no)))
         elif directive in _UNSUPPORTED:
@@ -237,6 +237,123 @@ def parse_proof(text: str) -> list[ProofStep]:
     if not saw_header:
         raise ProofParseError(1, "empty proof: missing header")
     return steps
+
+
+# -- reverse unit propagation --------------------------------------------------
+
+
+class RupChecker:
+    """Reverse-unit-propagation checks against a growing set of constraints.
+
+    The i-th variable the checker meets gets literal bits ``2 * i`` (plain)
+    and ``2 * i + 1`` (negated), so a proof that names ``x4000000000`` costs
+    two bits, not a mask as wide as the id.  A constraint is its degree and
+    ``[(coef, literal mask)]``, largest coefficient first, and bit ``ci`` of
+    a constraint mask stands for constraint ``ci``.  The stored constraints
+    are held at their root propagation fixpoint as two ints: the false
+    literals and the constraints that one true literal satisfies alone.
+    ``refutes`` propagates the assumption from that snapshot and throws the
+    result away, so there is no trail and no undo, and a check costs only
+    the constraints it touches.  Its verdict equals
+    ``solve.root_fixpoint(...) is None`` over the stored constraints plus
+    the assumption, which the tests check.
+    """
+
+    def __init__(self) -> None:
+        self._bit: dict[int, int] = {}  # variable -> bit of its plain literal
+        self._cons: list[tuple[int, list[tuple[int, int]]]] = []  # (degree, groups)
+        self._occ: list[int] = []  # per literal: the constraints containing it
+        self._sat_by: list[int] = []  # per literal: the constraints it satisfies alone
+        self._false = self._sat = 0  # the root fixpoint
+        # Once the stored constraints conflict, every assumption is refuted:
+        # a fresh propagation over more constraints still reaches a conflict.
+        self._conflict = False
+
+    def store(self, c: LinearConstraint) -> None:
+        """Keep *c* for every later check."""
+        if self._conflict or c.trivially_true:
+            return
+        fixpoint = self._propagate(self._false, self._sat, self._attach(c))
+        if fixpoint is None:
+            self._conflict = True
+        else:
+            self._false, self._sat = fixpoint
+
+    def refutes(self, assumption: LinearConstraint) -> bool:
+        """True iff propagation refutes the stored constraints plus *assumption*."""
+        if self._conflict:
+            return True
+        if assumption.trivially_true:
+            return False
+        known = len(self._bit)
+        bit = self._attach(assumption)
+        refuted = self._propagate(self._false, self._sat, bit) is None
+        self._cons.pop()
+        for _, lit in assumption.terms:
+            l = self._bit[lit.var] + lit.negated
+            self._occ[l] &= ~bit
+            self._sat_by[l] &= ~bit
+        while len(self._bit) > known:  # forget the variables it introduced
+            self._bit.popitem()
+        del self._occ[2 * known:], self._sat_by[2 * known:]
+        return refuted
+
+    def _attach(self, c: LinearConstraint) -> int:
+        """Index *c*, which is not trivially true; its constraint bit."""
+        bit = 1 << len(self._cons)
+        groups: dict[int, int] = {}
+        for coef, lit in c.terms:
+            if lit.var not in self._bit:
+                self._bit[lit.var] = len(self._occ)
+                self._occ += (0, 0)
+                self._sat_by += (0, 0)
+            l = self._bit[lit.var] + lit.negated
+            groups[coef] = groups.get(coef, 0) | 1 << l
+            self._occ[l] |= bit
+            if coef >= c.degree:
+                self._sat_by[l] |= bit
+        self._cons.append((c.degree, sorted(groups.items(), reverse=True)))
+        return bit
+
+    def _propagate(self, false: int, sat: int, todo: int) -> tuple[int, int] | None:
+        """Propagate the constraints in *todo* to fixpoint from *false*, *sat*.
+
+        Returns the fixpoint's ``(false, sat)``, or None on a conflict.  The
+        constraints in *sat* are skipped: one true literal with coef >= degree
+        leaves slack >= every coefficient that is not false, so such a
+        constraint can neither conflict nor force.
+        """
+        cons, occ, sat_by = self._cons, self._occ, self._sat_by
+        even = ((1 << 2 * len(self._bit)) - 1) // 3  # the plain literals
+        todo &= ~sat
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            degree, groups = cons[low.bit_length() - 1]
+            open_ = ~false
+            slack = -degree
+            for coef, m in groups:
+                slack += coef * (m & open_).bit_count()
+            if slack < 0:
+                return None
+            if slack >= groups[0][0]:
+                continue
+            forced = 0
+            for coef, m in groups:
+                if coef <= slack:
+                    break
+                forced |= m
+            true = (false & even) << 1 | false >> 1 & even
+            forced &= ~(false | true)
+            false |= (forced & even) << 1 | forced >> 1 & even
+            while forced:
+                low = forced & -forced
+                forced ^= low
+                l = low.bit_length() - 1
+                todo |= occ[l ^ 1]
+                sat |= sat_by[l]
+            todo &= ~sat
+        return false, sat
 
 
 # -- verification --------------------------------------------------------------

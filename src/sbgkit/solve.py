@@ -16,25 +16,24 @@ Enumeration runs a single search tree: each model found is excluded by
 attaching its blocking constraint on the fly and treating the model as a
 conflict, so the total work is one refutation of the fully blocked formula.
 
-The proof verifier shares no code with that engine.  RupChecker runs its
-reverse-unit-propagation checks on literal bitmasks of its own, over
-variables numbered densely in the order it meets them.  It holds the stored
-constraints at their root propagation fixpoint as two ints and propagates
-each check's assumption from that snapshot, then throws the result away.
-_Engine is a counting propagation over per-variable occurrence lists, kept
-slow and obvious; propagates_to_conflict builds a fresh one per call and is
-the reference the tests hold both RupChecker and _Search to, so that a bug
-in one propagator cannot make the solver and the checker agree wrongly.
+The proof verifier's reverse-unit-propagation checker, proof.RupChecker,
+shares no code with that engine.  root_fixpoint is the propagation rule
+itself, applied by rescanning every constraint until nothing changes, kept
+slow and obvious.  It is the reference the tests hold both _Search and
+RupChecker to, so that a bug in one propagator cannot make the solver and
+the checker agree wrongly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .encode import (
     Assignment,
     EncodeError,
     LinearConstraint,
+    Literal,
     PBFormula,
     blocking_constraint,
 )
@@ -420,211 +419,33 @@ def enumerate_all(
     return out
 
 
-# -- the proof verifier's propagation -------------------------------------------
+# -- the propagation rule, for the tests ---------------------------------------
 
 
-class _Engine:
-    """Counting propagation, built fresh for each propagates_to_conflict call."""
+def root_fixpoint(constraints: Sequence[LinearConstraint]) -> dict[int, int] | None:
+    """What propagation alone forces from *constraints*, as ``{variable: value}``.
 
-    def __init__(self, num_vars: int):
-        self.terms: list[list[tuple[int, int, bool]]] = []  # (coef, var0, negated)
-        self.maxcoef: list[int] = []
-        self.slack: list[int] = []
-        self.need: list[int] = []  # degree minus satisfied mass; <= 0 means satisfied
-        self.val = [-1] * num_vars
-        # per variable and assigned value: constraint entries falsified/satisfied
-        self.fal: list[tuple[list, list]] = [([], []) for _ in range(num_vars)]
-        self.sat: list[tuple[list, list]] = [([], []) for _ in range(num_vars)]
-        self.trail: list[int] = []
-
-    def add_constraint(self, c: LinearConstraint) -> None:
-        """Attach a constraint, with slack computed under the current assignment."""
-        if c.trivially_true:
-            return
-        ci = len(self.terms)
-        compiled = [(coef, lit.var - 1, lit.negated) for coef, lit in c.terms]
-        self.terms.append(compiled)
-        self.maxcoef.append(max((coef for coef, _, _ in compiled), default=0))
-        slack = -c.degree
-        need = c.degree
-        for coef, v, negated in compiled:
-            true_value = 0 if negated else 1
-            self.sat[v][true_value].append((ci, coef))
-            self.fal[v][1 - true_value].append((ci, coef))
-            if self.val[v] == -1:
-                slack += coef
-            elif self.val[v] == true_value:
-                slack += coef
-                need -= coef
-        self.slack.append(slack)
-        self.need.append(need)
-
-    def assign(self, v: int, b: int) -> None:
-        self.val[v] = b
-        self.trail.append(v)
-        slack, need = self.slack, self.need
-        for ci, coef in self.fal[v][b]:
-            slack[ci] -= coef
-        for ci, coef in self.sat[v][b]:
-            need[ci] -= coef
-
-    def force(self, entries) -> bool:
-        """Force the literals that the constraints in *entries* imply.
-
-        *entries* yields ``(ci, _)`` pairs; False on a negative-slack conflict.
-        """
-        val, slack, need = self.val, self.slack, self.need
-        terms, maxcoef = self.terms, self.maxcoef
-        for ci, _ in entries:
-            s = slack[ci]
-            if s < 0:
-                return False
-            if s < maxcoef[ci] and need[ci] > 0:
-                for coef, v, negated in terms[ci]:
-                    if val[v] == -1 and coef > s:
-                        self.assign(v, 0 if negated else 1)
-        return True
-
-    def propagate(self, start: int) -> bool:
-        """Counting propagation to fixpoint from trail position *start*."""
-        trail, val, fal = self.trail, self.val, self.fal
-        qi = start
-        while qi < len(trail):
-            v = trail[qi]
-            qi += 1
-            if not self.force(fal[v][val[v]]):
-                return False
-        return True
-
-    def root_propagate(self) -> bool:
-        """Forcing pass over every constraint, then fixpoint."""
-        return self.force(enumerate(self.terms)) and self.propagate(0)
-
-
-def propagates_to_conflict(
-    constraints: list[LinearConstraint], num_vars: int
-) -> bool:
-    """True iff counting propagation alone refutes the constraint set.
-
-    This is the verifier's counting propagation, not the solver's, run to
-    fixpoint with no decisions on a fresh engine; it is the reference that
-    the tests hold RupChecker's verdicts and the solver's propagation to.
+    None when it reaches a conflict.  This is the rule itself, applied by
+    rescanning every constraint until nothing changes: a constraint's slack
+    is the sum of its coefficients over literals that are not false, minus
+    its degree.  Negative slack is a conflict; otherwise every free literal
+    whose coefficient exceeds the slack is forced true.  The tests hold both
+    _Search and proof.RupChecker to it.
     """
-    eng = _Engine(num_vars)
-    for c in constraints:
-        eng.add_constraint(c)
-    return not eng.root_propagate()
+    forced: dict[int, int] = {}
 
+    def is_false(lit: Literal) -> bool:
+        return forced.get(lit.var) == (1 if lit.negated else 0)
 
-class RupChecker:
-    """Reverse-unit-propagation checks against a growing set of constraints.
-
-    The i-th variable the checker meets gets literal bits ``2 * i`` (plain)
-    and ``2 * i + 1`` (negated), so a proof that names ``x4000000000`` costs
-    two bits, not a mask as wide as the id.  A constraint is its degree and
-    ``[(coef, literal mask)]``, largest coefficient first, and bit ``ci`` of
-    a constraint mask stands for constraint ``ci``.  The stored constraints
-    are held at their root propagation fixpoint as two ints: the false
-    literals and the constraints that one true literal satisfies alone.
-    ``refutes`` propagates the assumption from that snapshot and throws the
-    result away, so there is no trail and no undo, and a check costs only
-    the constraints it touches.  Its verdict equals
-    ``propagates_to_conflict`` over the stored constraints plus the
-    assumption.
-    """
-
-    def __init__(self) -> None:
-        self._bit: dict[int, int] = {}  # variable -> bit of its plain literal
-        self._cons: list[tuple[int, list[tuple[int, int]]]] = []  # (degree, groups)
-        self._occ: list[int] = []  # per literal: the constraints containing it
-        self._sat_by: list[int] = []  # per literal: the constraints it satisfies alone
-        self._false = self._sat = 0  # the root fixpoint
-        # Once the stored constraints conflict, every assumption is refuted:
-        # a fresh propagation over more constraints still reaches a conflict.
-        self._conflict = False
-
-    def store(self, c: LinearConstraint) -> None:
-        """Keep *c* for every later check."""
-        if self._conflict or c.trivially_true:
-            return
-        fixpoint = self._propagate(self._false, self._sat, self._attach(c))
-        if fixpoint is None:
-            self._conflict = True
-        else:
-            self._false, self._sat = fixpoint
-
-    def refutes(self, assumption: LinearConstraint) -> bool:
-        """True iff propagation refutes the stored constraints plus *assumption*."""
-        if self._conflict:
-            return True
-        if assumption.trivially_true:
-            return False
-        known = len(self._bit)
-        bit = self._attach(assumption)
-        refuted = self._propagate(self._false, self._sat, bit) is None
-        self._cons.pop()
-        for _, lit in assumption.terms:
-            l = self._bit[lit.var] + lit.negated
-            self._occ[l] &= ~bit
-            self._sat_by[l] &= ~bit
-        while len(self._bit) > known:  # forget the variables it introduced
-            self._bit.popitem()
-        del self._occ[2 * known:], self._sat_by[2 * known:]
-        return refuted
-
-    def _attach(self, c: LinearConstraint) -> int:
-        """Index *c*, which is not trivially true; its constraint bit."""
-        bit = 1 << len(self._cons)
-        groups: dict[int, int] = {}
-        for coef, lit in c.terms:
-            if lit.var not in self._bit:
-                self._bit[lit.var] = len(self._occ)
-                self._occ += (0, 0)
-                self._sat_by += (0, 0)
-            l = self._bit[lit.var] + lit.negated
-            groups[coef] = groups.get(coef, 0) | 1 << l
-            self._occ[l] |= bit
-            if coef >= c.degree:
-                self._sat_by[l] |= bit
-        self._cons.append((c.degree, sorted(groups.items(), reverse=True)))
-        return bit
-
-    def _propagate(self, false: int, sat: int, todo: int) -> tuple[int, int] | None:
-        """Propagate the constraints in *todo* to fixpoint from *false*, *sat*.
-
-        Returns the fixpoint's ``(false, sat)``, or None on a conflict.  The
-        constraints in *sat* are skipped: one true literal with coef >= degree
-        leaves slack >= every coefficient that is not false, so such a
-        constraint can neither conflict nor force.
-        """
-        cons, occ, sat_by = self._cons, self._occ, self._sat_by
-        even = ((1 << 2 * len(self._bit)) - 1) // 3  # the plain literals
-        todo &= ~sat
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            degree, groups = cons[low.bit_length() - 1]
-            open_ = ~false
-            slack = -degree
-            for coef, m in groups:
-                slack += coef * (m & open_).bit_count()
+    changed = True
+    while changed:
+        changed = False
+        for c in constraints:
+            slack = sum(coef for coef, lit in c.terms if not is_false(lit)) - c.degree
             if slack < 0:
                 return None
-            if slack >= groups[0][0]:
-                continue
-            forced = 0
-            for coef, m in groups:
-                if coef <= slack:
-                    break
-                forced |= m
-            true = (false & even) << 1 | false >> 1 & even
-            forced &= ~(false | true)
-            false |= (forced & even) << 1 | forced >> 1 & even
-            while forced:
-                low = forced & -forced
-                forced ^= low
-                l = low.bit_length() - 1
-                todo |= occ[l ^ 1]
-                sat |= sat_by[l]
-            todo &= ~sat
-        return false, sat
+            for coef, lit in c.terms:
+                if coef > slack and lit.var not in forced:
+                    forced[lit.var] = 0 if lit.negated else 1
+                    changed = True
+    return forced

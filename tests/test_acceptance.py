@@ -246,7 +246,7 @@ def test_criterion_9_encoding_correctness_property():
         expected = set()
         for values in itertools.product((0, 1), repeat=n):
             code = mask_of(v for v in range(n) if values[v])
-            if code.bit_count() <= budget and is_ics(g, code, require_domination=True):
+            if code.bit_count() <= budget and is_ics(g, code):
                 expected.add(values)
         assert satisfying == expected
     elapsed = time.time() - t

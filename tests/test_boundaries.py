@@ -1,10 +1,9 @@
 """The trust boundaries between sbgkit's routes, read from the source.
 
 The oracle must share nothing with the solver or the verifier, and the
-verifier may take only its RUP checker from solve.py, so that a bug in the
-solver's search engine cannot make two routes agree wrongly.  The RUP
-checker in turn uses neither the solver's engine nor the counting engine
-that the tests hold it to.
+verifier, RUP checker included, takes only the data model and OPB parsing
+from encode.py, so that a bug in the solver's search engine cannot make two
+routes agree wrongly.  The solver in turn uses nothing of the verifier.
 """
 
 import ast
@@ -43,6 +42,10 @@ def _imports(name):
     return out
 
 
+def _modules(name):
+    return {module.split(".")[0] for module, _ in _imports(name)}
+
+
 def _names(node):
     """Every identifier under *node*: names, attributes and imported names."""
     out = set()
@@ -56,34 +59,20 @@ def _names(node):
     return out
 
 
-def _class(name, cls):
-    """The definition of class *cls* in module file *name*."""
-    (node,) = (
-        n for n in ast.walk(_tree(name)) if isinstance(n, ast.ClassDef) and n.name == cls
-    )
-    return node
-
-
 def test_the_oracle_imports_nothing_from_solver_encoder_or_verifier():
-    modules = {module.split(".")[0] for module, _ in _imports("oracle.py")}
+    modules = _modules("oracle.py")
     assert modules, "oracle.py imports graph and ics"
     assert not modules & {"solve", "encode", "proof"}
 
 
-def test_the_verifier_takes_only_the_rup_checker_from_solve():
-    assert {name for module, name in _imports("proof.py") if module == "solve"} == {
-        "RupChecker"
-    }
+def test_the_verifier_imports_only_from_encode():
+    assert _modules("proof.py") == {"encode"}
+
+
+def test_the_solver_imports_nothing_from_the_verifier():
+    assert "proof" not in _modules("solve.py")
 
 
 def test_only_solve_names_the_search_engine():
     users = sorted(p.name for p in SRC.glob("*.py") if "_Search" in _names(_tree(p.name)))
     assert users == ["solve.py"]
-
-
-def test_the_rup_checker_uses_neither_the_search_nor_the_reference_engine():
-    assert not _names(_class("solve.py", "RupChecker")) & {"_Search", "_Engine"}
-
-
-def test_the_search_engine_does_not_use_the_rup_checker():
-    assert "RupChecker" not in _names(_class("solve.py", "_Search"))

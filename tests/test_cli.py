@@ -207,6 +207,27 @@ REPROS += [
     ]
 ] + [("over-long projection id", {}, ["enumerate", "ex.opb", "--project", f"x{BIG}"], 2)]
 
+# Unicode digits outside ASCII 0-9, which int() reads as numbers; each input
+# is valid, and the proof checks, with the digits made ASCII
+REPROS += [
+    (f"non-ASCII digit in {where}", {"u.opb": text}, ["solve", "u.opb"], 2)
+    for where, text in [
+        ("OPB coefficient", OPB_HEADER + "+٢ x1 >= 1 ;\n"),
+        ("OPB degree", OPB_HEADER + "+1 x1 >= ١ ;\n"),
+        ("OPB variable id", "* #variable= 10 #constraint= 1\n+1 x1٠ >= 1 ;\n"),
+        ("OPB variable count", "* #variable= ١ #constraint= 1\n+1 x1 >= 1 ;\n"),
+    ]
+] + [
+    (f"non-ASCII digit in {where}", {"p.pbp": EXAMPLE_UNSAT_PROOF.replace(old, new)},
+     ["verify", "ex.opb", "p.pbp"], 2)
+    for where, old, new in [
+        ("l index", "l 1\n", "l ١\n"),
+        ("c id", "c 14 0", "c ١٤ 0"),
+        ("u degree", "u >= 0 ;", "u >= ٠ ;"),
+        ("p constraint id", "p 7 10 + 0", "p ٧ 10 + 0"),
+    ]
+] + [("non-ASCII digit in projection id", {}, ["enumerate", "ex.opb", "--project", "x١"], 2)]
+
 
 @pytest.mark.parametrize("name,files,argv,code", REPROS, ids=[r[0] for r in REPROS])
 def test_bad_input_exits_cleanly(tmp_path, monkeypatch, capsys, name, files, argv, code):

@@ -71,12 +71,9 @@ def test_signatures_reject_foreign_nodes():
 
 
 def test_domination_flag():
-    # a path a-b: code {a} gives b signature {a}, a signature {a}: collision.
-    # code {b} on a-b-c: signatures {b},{b},{b}: collision.  On a 1-node
-    # graph the empty code is rejected only in dominating mode.
+    # on a 1-node graph the empty code gives the one node no color: rejected
     g = Graph(1, [])
-    assert not is_ics(g, 0, require_domination=True)
-    assert is_ics(g, 0, require_domination=False)
+    assert not is_ics(g, 0)
 
 
 def test_monotonicity_random():

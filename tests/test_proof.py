@@ -18,6 +18,7 @@ from sbgkit.encode import (
 from sbgkit.fixtures import EXAMPLE_UNSAT_OPB, EXAMPLE_UNSAT_PROOF
 from sbgkit.proof import (
     ProofParseError,
+    RupChecker,
     VerifyError,
     add,
     axiom_literal,
@@ -28,7 +29,7 @@ from sbgkit.proof import (
     saturate,
     verify,
 )
-from sbgkit.solve import RupChecker, propagates_to_conflict
+from sbgkit.solve import root_fixpoint
 
 
 def random_constraint(rng, n_vars, max_terms=5):
@@ -281,40 +282,15 @@ def test_verified_fixture_is_actually_unsat(example):
 
 
 def test_rup_checker_agrees_with_fresh_propagation():
-    # random store / u sequences; every verdict against a fresh engine
+    # random store / u sequences; every verdict against root_fixpoint, with
+    # the variables numbered 1..n and mapped through a random injection into
+    # 1..10**12
     rng = random.Random(7)
     verdicts = {True: 0, False: 0}
     root_conflicts = 0
-    for _ in range(1500):
+    for trial in range(3000):
         n = rng.randint(1, 7)
-        checker = RupChecker()
-        stored = []
-        for _ in range(rng.randint(1, 8)):
-            c = random_constraint(rng, n, max_terms=4)
-            if rng.random() < 0.4:
-                checker.store(c)
-                stored.append(c)
-                continue
-            negation = negation_of(c)
-            verdict = checker.refutes(negation)
-            assert verdict == propagates_to_conflict(stored + [negation], n), (stored, c)
-            verdicts[verdict] += 1
-            if verdict:
-                checker.store(c)
-                stored.append(c)
-        root_conflicts += propagates_to_conflict(stored, n)
-    assert min(verdicts.values()) > 1000, verdicts
-    assert root_conflicts > 50, root_conflicts
-
-
-def test_rup_checker_agrees_on_sparse_huge_variable_ids():
-    # as above, with the checker's variables mapped through a random
-    # injection into 1..10**12; the reference sees only the unmapped ids
-    rng = random.Random(8)
-    verdicts = {True: 0, False: 0}
-    for _ in range(1500):
-        n = rng.randint(1, 7)
-        ids = rng.sample(range(1, 10**12 + 1), n)
+        ids = rng.sample(range(1, 10**12 + 1), n) if trial % 2 else range(1, n + 1)
 
         def mapped(c):
             terms = tuple((coef, Literal(ids[lit.var - 1], lit.negated)) for coef, lit in c.terms)
@@ -323,19 +299,21 @@ def test_rup_checker_agrees_on_sparse_huge_variable_ids():
         checker = RupChecker()
         stored = []
         for _ in range(rng.randint(1, 8)):
-            c = random_constraint(rng, n, max_terms=4)
+            c = mapped(random_constraint(rng, n, max_terms=4))
             if rng.random() < 0.4:
-                checker.store(mapped(c))
+                checker.store(c)
                 stored.append(c)
                 continue
             negation = negation_of(c)
-            verdict = checker.refutes(mapped(negation))
-            assert verdict == propagates_to_conflict(stored + [negation], n), (stored, c)
+            verdict = checker.refutes(negation)
+            assert verdict == (root_fixpoint(stored + [negation]) is None), (stored, c)
             verdicts[verdict] += 1
             if verdict:
-                checker.store(mapped(c))
+                checker.store(c)
                 stored.append(c)
-    assert min(verdicts.values()) > 1000, verdicts
+        root_conflicts += root_fixpoint(stored) is None
+    assert min(verdicts.values()) > 2000, verdicts
+    assert root_conflicts > 100, root_conflicts
 
 
 def test_refutes_leaves_the_checker_as_it_was():
@@ -385,7 +363,7 @@ def test_rup_after_root_conflict_is_accepted(example):
     assert len(constraints) == 16
     for cid in (15, 16):
         earlier = [constraints[i] for i in range(1, cid)]
-        assert propagates_to_conflict(earlier + [negation_of(constraints[cid])], 6)
+        assert root_fixpoint(earlier + [negation_of(constraints[cid])]) is None
 
 
 def test_rup_and_polish_beyond_formula_variables(example):

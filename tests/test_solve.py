@@ -17,10 +17,9 @@ from sbgkit.fixtures import EXAMPLE_UNSAT_OPB
 from sbgkit.graph import build_sbg
 from sbgkit.solve import (
     SolveLimitReached,
-    _Engine,
     _Search,
     enumerate_all,
-    propagates_to_conflict,
+    root_fixpoint,
     solve,
 )
 
@@ -188,7 +187,7 @@ def test_stats_populated():
     assert res.stats.propagations > 0
 
 
-# -- the fresh-engine propagation that proof checking is tested against ----------
+# -- the propagation rule that both engines are tested against -----------------
 
 
 def test_propagation_finds_direct_conflict():
@@ -196,13 +195,13 @@ def test_propagation_finds_direct_conflict():
         LinearConstraint(((1, pos(1)),), 1),
         LinearConstraint(((1, Literal(1, True)),), 1),
     ]
-    assert propagates_to_conflict(cons, 1)
+    assert root_fixpoint(cons) is None
 
 
 def test_propagation_is_incomplete_without_decisions():
     # x1 + x2 >= 1 with both allowed: no forcing, no conflict
     cons = [LinearConstraint(((1, pos(1)), (1, pos(2))), 1)]
-    assert not propagates_to_conflict(cons, 2)
+    assert root_fixpoint(cons) == {}
 
 
 def test_propagation_chains_through_cardinality():
@@ -212,10 +211,11 @@ def test_propagation_chains_through_cardinality():
         LinearConstraint(((1, Literal(1, True)), (1, pos(2))), 1),
         LinearConstraint(((1, Literal(2, True)),), 1),
     ]
-    assert propagates_to_conflict(cons, 2)
+    assert root_fixpoint(cons) is None
+    assert root_fixpoint(cons[:2]) == {1: 1, 2: 1}
 
 
-# -- the solver's engine against the verifier's counting propagation -------------
+# -- the solver's engine against the propagation rule --------------------------
 
 
 def mixed_constraints(rng, n, m):
@@ -259,11 +259,33 @@ def _reference_branch(cons, value):
     return (lit.var - 1, lit.negated)
 
 
+def test_root_fixpoint_agrees_with_brute_force():
+    # a conflict means no model; otherwise every model takes the forced values
+    rng = random.Random(13)
+    outcomes = {True: 0, False: 0}
+    forcing_with_models = 0
+    for _ in range(2000):
+        n = rng.randint(1, 6)
+        cons = mixed_constraints(rng, n, rng.randint(0, 3))
+        fix = root_fixpoint(cons)
+        models = brute_force_models(PBFormula(n, tuple(cons)))
+        if fix is None:
+            assert not models, cons
+        else:
+            for values in models:
+                assert all(values[v - 1] == b for v, b in fix.items()), (cons, fix)
+            forcing_with_models += bool(fix and models)
+        outcomes[fix is None] += 1
+    assert min(outcomes.values()) > 800 and forcing_with_models > 500, (
+        outcomes, forcing_with_models
+    )
+
+
 def test_search_engine_propagates_like_a_fresh_counting_engine():
     # random decide / undo / attach sequences; at every fixpoint the bitmask
-    # engine's verdict and assigned literals equal a fresh counting engine's
-    # over the same constraints plus the decisions as unit constraints, and
-    # its branch equals a full scan's
+    # engine's verdict and assigned literals equal root_fixpoint's over the
+    # same constraints plus the decisions as unit constraints, and its
+    # branch equals a full scan's
     rng = random.Random(12)
     fixpoints = attached_at_total = 0
     for _ in range(1500):
@@ -276,15 +298,13 @@ def test_search_engine_propagates_like_a_fresh_counting_engine():
 
         def at_fixpoint():
             ok = eng.propagate()
-            ref = _Engine(n)
-            for c in cons + [unit for _, unit in decisions]:
-                ref.add_constraint(c)
-            assert ok == ref.root_propagate()
+            ref = root_fixpoint(cons + [unit for _, unit in decisions])
+            assert ok == (ref is not None)
             if ok:
                 assigned = {(v, eng.value(v)) for v in range(n) if eng.value(v) != -1}
                 # each trail entry makes its literals true once, for free variables
                 assert sum(entry[0].bit_count() for entry in eng.trail) == len(assigned)
-                assert assigned == {(v, ref.val[v]) for v in ref.trail}
+                assert assigned == {(v - 1, b) for v, b in ref.items()}
                 # no unsatisfied constraint is left with fewer than two free
                 # variables, which is what lets pick_branch stop early
                 for c in cons:
