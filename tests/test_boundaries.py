@@ -59,6 +59,13 @@ def _names(node):
     return out
 
 
+def _class(name, cls):
+    """The definition of class *cls* in module file *name*, or None."""
+    found = [n for n in ast.walk(_tree(name)) if isinstance(n, ast.ClassDef) and n.name == cls]
+    assert len(found) <= 1, (name, cls)
+    return found[0] if found else None
+
+
 def test_the_oracle_imports_nothing_from_solver_encoder_or_verifier():
     modules = _modules("oracle.py")
     assert modules, "oracle.py imports graph and ics"
@@ -67,6 +74,19 @@ def test_the_oracle_imports_nothing_from_solver_encoder_or_verifier():
 
 def test_the_verifier_imports_only_from_encode():
     assert _modules("proof.py") == {"encode"}
+
+
+def test_the_verifier_takes_only_the_rup_checker_from_solve():
+    # the RUP checker, once the one thing proof.py took from solve.py, now
+    # lives in proof.py itself, so the verifier takes nothing from solve
+    assert _class("proof.py", "RupChecker") is not None
+    assert _class("solve.py", "RupChecker") is None
+    assert not {name for module, name in _imports("proof.py") if module == "solve"}
+
+
+def test_the_rup_checker_uses_neither_the_search_nor_the_reference_engine():
+    names = _names(_class("proof.py", "RupChecker"))
+    assert not names & {"solve", "_Search", "root_fixpoint"}
 
 
 def test_the_solver_imports_nothing_from_the_verifier():

@@ -281,16 +281,15 @@ def test_verified_fixture_is_actually_unsat(example):
 # -- the incremental RUP checker ---------------------------------------------------
 
 
-def test_rup_checker_agrees_with_fresh_propagation():
-    # random store / u sequences; every verdict against root_fixpoint, with
-    # the variables numbered 1..n and mapped through a random injection into
-    # 1..10**12
-    rng = random.Random(7)
+def _agreement_with_root_fixpoint(seed, ids_for):
+    # random store / u sequences over variables ids_for(rng, n); every
+    # verdict against root_fixpoint, which sees the same ids as the checker
+    rng = random.Random(seed)
     verdicts = {True: 0, False: 0}
     root_conflicts = 0
-    for trial in range(3000):
+    for _ in range(1500):
         n = rng.randint(1, 7)
-        ids = rng.sample(range(1, 10**12 + 1), n) if trial % 2 else range(1, n + 1)
+        ids = ids_for(rng, n)
 
         def mapped(c):
             terms = tuple((coef, Literal(ids[lit.var - 1], lit.negated)) for coef, lit in c.terms)
@@ -312,8 +311,23 @@ def test_rup_checker_agrees_with_fresh_propagation():
                 checker.store(c)
                 stored.append(c)
         root_conflicts += root_fixpoint(stored) is None
-    assert min(verdicts.values()) > 2000, verdicts
-    assert root_conflicts > 100, root_conflicts
+    return verdicts, root_conflicts
+
+
+def test_rup_checker_agrees_with_fresh_propagation():
+    verdicts, root_conflicts = _agreement_with_root_fixpoint(7, lambda rng, n: range(1, n + 1))
+    assert min(verdicts.values()) > 1000, verdicts
+    assert root_conflicts > 50, root_conflicts
+
+
+def test_rup_checker_agrees_on_sparse_huge_variable_ids():
+    # as above, with the variables mapped through a random injection into
+    # 1..10**12; the dict-based reference sees the huge ids directly
+    verdicts, root_conflicts = _agreement_with_root_fixpoint(
+        8, lambda rng, n: rng.sample(range(1, 10**12 + 1), n)
+    )
+    assert min(verdicts.values()) > 1000, verdicts
+    assert root_conflicts > 50, root_conflicts
 
 
 def test_refutes_leaves_the_checker_as_it_was():
