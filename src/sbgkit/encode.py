@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .graph import Graph, bits
@@ -58,6 +59,11 @@ def pos(var: int) -> Literal:
 
 def neg(var: int) -> Literal:
     return Literal(var, True)
+
+
+# Literals are frozen, so one object can stand for every equal literal.
+_LITERAL_CACHE_SIZE = 1 << 14
+_literal = lru_cache(maxsize=_LITERAL_CACHE_SIZE)(Literal)
 
 
 @dataclass(frozen=True)
@@ -113,15 +119,18 @@ class LinearConstraint:
 
 
 def from_signed(signed: Mapping[int, int], rhs: int) -> LinearConstraint:
-    """Normalize a signed-coefficient inequality ``sum c_v x_v >= rhs``."""
+    """Normalize a signed-coefficient inequality ``sum c_v x_v >= rhs``.
+
+    The terms' literals are interned: equal literals are one shared object.
+    """
     out = []
     degree = rhs
     for var in sorted(signed):
         c = signed[var]
         if c > 0:
-            out.append((c, Literal(var)))
+            out.append((c, _literal(var, False)))
         elif c < 0:
-            out.append((-c, Literal(var, True)))
+            out.append((-c, _literal(var, True)))
             degree -= c
     return LinearConstraint(tuple(out), degree)
 
@@ -136,7 +145,9 @@ def normalize(
 
     Strict relations shift the degree by one, <= flips signs, and equality
     splits into a pair of opposite inequalities.  Zero-coefficient terms are
-    dropped; the result may be trivially true (degree <= 0).
+    dropped; the result may be trivially true (degree <= 0).  The constraint
+    parser sums its terms straight from the tokens and shares the relation
+    step with this function.
     """
     if relation not in _RELATIONS:
         raise EncodeError(f"unknown relation {relation!r}")
@@ -148,16 +159,23 @@ def normalize(
             base -= coef
         else:
             signed[lit.var] = signed.get(lit.var, 0) + coef
+    return _relate(signed, relation, base)
+
+
+def _relate(
+    signed: dict[int, int], relation: str, rhs: int
+) -> tuple[LinearConstraint, ...]:
+    """Normalized >=-form of ``sum signed[v] * x_v <relation> rhs``."""
     if relation == ">":
-        relation, base = ">=", base + 1
+        relation, rhs = ">=", rhs + 1
     elif relation == "<":
-        relation, base = "<=", base - 1
+        relation, rhs = "<=", rhs - 1
     if relation == ">=":
-        return (from_signed(signed, base),)
+        return (from_signed(signed, rhs),)
     flipped = {v: -c for v, c in signed.items()}
     if relation == "<=":
-        return (from_signed(flipped, -base),)
-    return (from_signed(signed, base), from_signed(flipped, -base))
+        return (from_signed(flipped, -rhs),)
+    return (from_signed(signed, rhs), from_signed(flipped, -rhs))
 
 
 # -- assignments --------------------------------------------------------------
@@ -309,7 +327,11 @@ def blocking_constraint(
 #
 # Header "* #variable= N #constraint= M", optional "* name xK NAME" comment
 # lines carrying the variable name table, then one constraint per line in
-# signed-coefficient form, e.g. "+1 x1 -2 x7 >= 0 ;".
+# signed-coefficient form, e.g. "+1 x1 -2 x7 >= 0 ;".  The same constraint
+# parser reads proof ``u`` steps.  It sums signed coefficients straight from
+# the tokens and converts each distinct token once: the two token readers
+# below remember their last few thousand tokens, and the variable reader
+# returns interned literals.
 
 
 # Numbers are ASCII digits only: re.ASCII keeps \d from matching other
@@ -317,6 +339,7 @@ def blocking_constraint(
 _HEADER_RE = re.compile(r"\*\s*#variable=\s*(\d+)\s+#constraint=\s*(\d+)\s*$", re.ASCII)
 _VAR_RE = re.compile(r"(~?)x([1-9]\d*)$", re.ASCII)
 _INT_RE = re.compile(r"[+-]?\d+$", re.ASCII)
+_TOKEN_CACHE_SIZE = 1 << 12
 
 
 def _is_digits(text: str) -> bool:
@@ -324,13 +347,40 @@ def _is_digits(text: str) -> bool:
     return text.isascii() and text.isdecimal()
 
 
+class _TooLong(ValueError):
+    """An integer token past Python's integer-string limit (4300 digits by
+    default); the message counts the characters of its digit string."""
+
+
+def _to_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:
+        raise _TooLong(f"integer of {len(digits)} characters is too long") from None
+
+
 def _parse_int(token: str, line_no: int, error: type = OpbError) -> int:
     """The value of a matched digit string; one over Python's integer-string
-    limit (4300 digits by default) raises *error* instead of ValueError."""
+    limit raises *error* instead of ValueError."""
     try:
-        return int(token)
-    except ValueError:
-        raise error(line_no, f"integer of {len(token)} characters is too long") from None
+        return _to_int(token)
+    except _TooLong as exc:
+        raise error(line_no, str(exc)) from None
+
+
+@lru_cache(maxsize=_TOKEN_CACHE_SIZE)
+def _read_int(token: str) -> int | None:
+    """The value of a signed integer token such as ``+3``, or None if *token*
+    is not one; raises _TooLong."""
+    return _to_int(token) if _INT_RE.match(token) else None
+
+
+@lru_cache(maxsize=_TOKEN_CACHE_SIZE)
+def _read_literal(token: str) -> Literal | None:
+    """The interned literal of a token ``x7`` or ``~x7``, or None if *token*
+    is not one; raises _TooLong."""
+    m = _VAR_RE.match(token)
+    return _literal(_to_int(m.group(2)), bool(m.group(1))) if m else None
 
 
 def write_opb(f: PBFormula) -> str:
@@ -351,8 +401,14 @@ def write_opb(f: PBFormula) -> str:
 def parse_constraint_tokens(
     tokens: Sequence[str], line_no: int, *, allow_equality: bool = False
 ) -> tuple[LinearConstraint, ...]:
-    """Parse one OPB constraint body (without the trailing ';')."""
-    rel_positions = [i for i, t in enumerate(tokens) if t in (">=", "=", "<=", "<", ">")]
+    """Parse one OPB constraint body (without the trailing ';') in one pass.
+
+    The terms' signed coefficients and the degree are summed as the tokens
+    are read (a ``~x`` term subtracts its coefficient from the degree) and
+    handed to the relation step that normalize uses, so the result equals
+    ``normalize`` of the written terms.
+    """
+    rel_positions = [i for i, t in enumerate(tokens) if t in _RELATIONS]
     if len(rel_positions) != 1:
         raise OpbError(line_no, "expected exactly one relational operator")
     k = rel_positions[0]
@@ -363,23 +419,29 @@ def parse_constraint_tokens(
         raise OpbError(line_no, "equality not allowed here")
     if k + 2 != len(tokens):
         raise OpbError(line_no, "expected a single integer degree after the relation")
-    if not _INT_RE.match(tokens[k + 1]):
-        raise OpbError(line_no, f"bad degree {tokens[k + 1]!r}")
-    rhs = _parse_int(tokens[k + 1], line_no)
-    body = tokens[:k]
-    if len(body) % 2 != 0:
-        raise OpbError(line_no, "terms must alternate coefficient and variable")
-    terms = []
-    for i in range(0, len(body), 2):
-        if not _INT_RE.match(body[i]):
-            raise OpbError(line_no, f"bad coefficient {body[i]!r}")
-        coef = _parse_int(body[i], line_no)
-        m = _VAR_RE.match(body[i + 1])
-        if not m:
-            raise OpbError(line_no, f"bad variable token {body[i + 1]!r}")
-        lit = Literal(_parse_int(m.group(2), line_no), negated=bool(m.group(1)))
-        terms.append((coef, lit))
-    return normalize(terms, relation, rhs)
+    signed: dict[int, int] = {}
+    try:
+        rhs = _read_int(tokens[k + 1])
+        if rhs is None:
+            raise OpbError(line_no, f"bad degree {tokens[k + 1]!r}")
+        if k % 2 != 0:
+            raise OpbError(line_no, "terms must alternate coefficient and variable")
+        for i in range(0, k, 2):
+            coef = _read_int(tokens[i])
+            if coef is None:
+                raise OpbError(line_no, f"bad coefficient {tokens[i]!r}")
+            lit = _read_literal(tokens[i + 1])
+            if lit is None:
+                raise OpbError(line_no, f"bad variable token {tokens[i + 1]!r}")
+            var = lit.var
+            if lit.negated:
+                signed[var] = signed.get(var, 0) - coef
+                rhs -= coef
+            else:
+                signed[var] = signed.get(var, 0) + coef
+    except _TooLong as exc:
+        raise OpbError(line_no, str(exc)) from None
+    return _relate(signed, relation, rhs)
 
 
 def parse_opb(text: str) -> PBFormula:

@@ -35,10 +35,11 @@ from .encode import (
     normalize,
     parse_constraint_tokens,
     OpbError,
-    _INT_RE,
-    _VAR_RE,
+    _TooLong,
     _is_digits,
     _parse_int,
+    _read_int,
+    _read_literal,
 )
 
 PROOF_HEADER = "pseudo-Boolean proof version 1.0"
@@ -151,10 +152,11 @@ def _parse_polish(tokens: Sequence[str], line_no: int) -> tuple[tuple[str, objec
     while i < len(tokens):
         tok = tokens[i]
         lookahead = tokens[i + 1] if i + 1 < len(tokens) else None
-        if _INT_RE.match(tok) and lookahead in ("*", "d"):
+        value = _read_int(tok)
+        if value is not None and lookahead in ("*", "d"):
             if depth < 1:
                 raise ProofParseError(line_no, f"'{lookahead}' with empty stack")
-            ops.append((lookahead, _proof_int(tok, line_no)))
+            ops.append((lookahead, value))
             i += 2
             continue
         if tok == "+":
@@ -168,15 +170,14 @@ def _parse_polish(tokens: Sequence[str], line_no: int) -> tuple[tuple[str, objec
             ops.append(("s", None))
         elif tok == "*" or tok == "d":
             raise ProofParseError(line_no, f"'{tok}' without preceding integer")
-        elif m := _VAR_RE.match(tok):
-            depth += 1
-            ops.append(("lit", Literal(_proof_int(m.group(2), line_no), bool(m.group(1)))))
-        elif _INT_RE.match(tok):
-            cid = _proof_int(tok, line_no)
-            if cid < 1:
+        elif value is not None:
+            if value < 1:
                 raise ProofParseError(line_no, f"bad constraint id {tok!r}")
             depth += 1
-            ops.append(("id", cid))
+            ops.append(("id", value))
+        elif lit := _read_literal(tok):
+            depth += 1
+            ops.append(("lit", lit))
         else:
             raise ProofParseError(line_no, f"unknown token {tok!r}")
         i += 1
@@ -221,13 +222,19 @@ def parse_proof(text: str) -> list[ProofStep]:
             tokens = rest.split()
             if not tokens or tokens[-1] != "0":
                 raise ProofParseError(line_no, "'p' derivation must end with 0")
-            ops = _parse_polish(tokens[:-1], line_no)
+            try:
+                ops = _parse_polish(tokens[:-1], line_no)
+            except _TooLong as exc:
+                raise ProofParseError(line_no, str(exc)) from None
             steps.append(ProofStep("polish", line_no, tokens=ops))
         elif directive == "c":
             parts = rest.split()
             if len(parts) != 2 or parts[1] != "0" or not _is_digits(parts[0]):
                 raise ProofParseError(line_no, "'c' expects '<id> 0'")
-            steps.append(ProofStep("contradiction", line_no, index=_proof_int(parts[0], line_no)))
+            index = _proof_int(parts[0], line_no)
+            if index < 1:
+                raise ProofParseError(line_no, f"'c' expects a 1-based id, got {parts[0]!r}")
+            steps.append(ProofStep("contradiction", line_no, index=index))
         elif directive in _UNSUPPORTED:
             raise ProofParseError(
                 line_no, f"unsupported rule {directive!r} (outside the verified subset)"

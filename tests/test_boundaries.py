@@ -12,8 +12,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "sbgkit"
 
 
-def _tree(name):
-    return ast.parse((SRC / name).read_text(), filename=name)
+def _tree(name, appended=""):
+    return ast.parse((SRC / name).read_text() + appended, filename=name)
 
 
 def _imports(name):
@@ -74,6 +74,15 @@ def test_the_oracle_imports_nothing_from_solver_encoder_or_verifier():
 
 def test_the_verifier_imports_only_from_encode():
     assert _modules("proof.py") == {"encode"}
+
+
+def test_the_verifier_reads_tokens_only_through_encodes_readers():
+    # proof.py reads integer and literal tokens through encode's cached
+    # readers and never names the regexes behind them
+    regexes = {"_INT_RE", "_VAR_RE"}
+    assert not _names(_tree("proof.py")) & regexes
+    for injected in ("from .encode import _VAR_RE\n", "from . import encode\nencode._INT_RE\n"):
+        assert _names(_tree("proof.py", injected)) & regexes
 
 
 def test_the_verifier_takes_only_the_rup_checker_from_solve():

@@ -17,12 +17,14 @@ from sbgkit.encode import (
     evaluate,
     neg,
     normalize,
+    parse_constraint_tokens,
     parse_opb,
     pos,
     write_opb,
 )
 from sbgkit.graph import Graph, mask_of
 from sbgkit.ics import is_ics
+from sbgkit.proof import PROOF_HEADER, ProofParseError, parse_proof
 
 
 def all_assignments(n):
@@ -316,3 +318,91 @@ def test_opb_rejects_nonlinear_products():
 def test_repeated_variable_merges_on_parse():
     f = parse_opb("* #variable= 1 #constraint= 1\n+1 x1 +2 x1 >= 2 ;\n")
     assert f.constraints[0] == LinearConstraint(((3, pos(1)),), 2)
+
+
+# -- constraint parser messages ------------------------------------------------------
+
+# decimal integers past Python's integer-string limit (4300 digits)
+BIG = "9" * 5000
+PARSER_ERRORS = [
+    # (case, constraint body without ';', message, raised by parse_opb too)
+    ("no relation", "+1 x1 1", "expected exactly one relational operator", True),
+    ("two relations", "+1 x1 >= 1 >= 1", "expected exactly one relational operator", True),
+    ("unsupported relation", "+1 x1 <= 1", "unsupported relation '<='", True),
+    ("strict relation", "+1 x1 > 0", "unsupported relation '>'", True),
+    ("equality", "+1 x1 = 1", "equality not allowed here", False),
+    ("no degree", "+1 x1 >=", "expected a single integer degree after the relation", True),
+    ("two degrees", "+1 x1 >= 1 2", "expected a single integer degree after the relation", True),
+    ("bad degree", "+1 x1 >= y", "bad degree 'y'", True),
+    ("non-ASCII degree", "+1 x1 >= ١", "bad degree '١'", True),
+    ("odd terms", "+1 x1 x1 >= 1", "terms must alternate coefficient and variable", True),
+    ("bad coefficient", "x1 +1 >= 1", "bad coefficient 'x1'", True),
+    ("bad variable token", "+1 y1 >= 1", "bad variable token 'y1'", True),
+    ("zero variable id", "+1 x0 >= 1", "bad variable token 'x0'", True),
+    ("over-long degree", f"+1 x1 >= {BIG}", "integer of 5000 characters is too long", True),
+    ("over-long coefficient", f"+{BIG} x1 >= 1", "integer of 5001 characters is too long", True),
+    ("over-long variable id", f"+1 x{BIG} >= 1", "integer of 5000 characters is too long", True),
+    ("over-long negated id", f"+1 ~x{BIG} >= 1", "integer of 5000 characters is too long", True),
+]
+
+
+@pytest.mark.parametrize(
+    "body,message,in_opb", [c[1:] for c in PARSER_ERRORS], ids=[c[0] for c in PARSER_ERRORS]
+)
+def test_constraint_parser_messages(body, message, in_opb):
+    # the same parser reads OPB lines and proof u steps, with the same text
+    opb = f"* #variable= 1 #constraint= 1\n{body} ;\n"
+    if in_opb:
+        with pytest.raises(OpbError) as err:
+            parse_opb(opb)
+        assert str(err.value) == f"line 2: {message}"
+    else:
+        parse_opb(opb)
+    with pytest.raises(ProofParseError) as err:
+        parse_proof(f"{PROOF_HEADER}\nu {body} ;\n")
+    assert str(err.value) == f"line 2: bad 'u' constraint: {message}"
+
+
+# -- the one-pass parser against normalize -----------------------------------------
+
+
+def _random_coefficient(rng):
+    kind = rng.random()
+    if kind < 0.1:
+        return "0"
+    if kind < 0.2:  # a 50-digit integer
+        return rng.choice("+-") + str(rng.randrange(10**49, 10**50))
+    value = rng.randint(-5, 5)
+    return f"{value:+d}" if rng.random() < 0.8 else str(value)
+
+
+def _random_constraint_tokens(rng):
+    n_vars = rng.randint(1, 6)
+    tokens = []
+    for _ in range(rng.randint(0, 7)):
+        # few variables, so literals repeat and opposite ones cancel
+        tokens += [_random_coefficient(rng), f"{rng.choice(['', '~'])}x{rng.randint(1, n_vars)}"]
+    relation = rng.choice([">=", "="])
+    return tokens + [relation, _random_coefficient(rng)]
+
+
+def test_one_pass_parser_equals_normalize():
+    rng = random.Random("one-pass parser")
+    for _ in range(3000):
+        tokens = _random_constraint_tokens(rng)
+        *body, relation, rhs = tokens
+        terms = [
+            (int(coef), Literal(int(var.lstrip("~x")), var.startswith("~")))
+            for coef, var in zip(body[::2], body[1::2])
+        ]
+        expected = normalize(terms, relation, int(rhs))
+        assert parse_constraint_tokens(tokens, 1, allow_equality=True) == expected, tokens
+
+
+def test_interned_literals_equal_fresh_ones():
+    (c,) = parse_constraint_tokens(["+2", "~x3", "-1", "x5", ">=", "1"], 1)
+    (again,) = parse_constraint_tokens(["+1", "~x3", ">=", "1"], 1)
+    fresh = [Literal(3, True), Literal(5, True)]
+    assert [lit for _, lit in c.terms] == fresh
+    assert [hash(lit) for _, lit in c.terms] == [hash(lit) for lit in fresh]
+    assert again.terms[0][1] is c.terms[0][1]  # one shared object

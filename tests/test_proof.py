@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+import sbgkit.encode as encode_module
 import sbgkit.proof as proof_module
 from sbgkit.encode import (
     Assignment,
@@ -410,3 +411,22 @@ def test_rup_on_a_huge_variable_id_costs_two_bits(example):
     assert outcome.contradiction_id == 6
     assert outcome.db.constraints[2].max_var() == 4_000_000_000
     assert peak < 1 << 20, peak
+
+
+def test_parsing_many_variables_keeps_the_token_caches_bounded():
+    # 100,000 distinct variable ids and coefficients, in u and p steps
+    lines = ["pseudo-Boolean proof version 1.0"]
+    for start in range(1, 75_001, 150):
+        terms = " ".join(f"+{v} ~x{v}" for v in range(start, start + 150))
+        lines.append(f"u {terms} >= 1 ;")
+    lines.extend(f"p x{v} ~x{v + 1} + 0" for v in range(75_001, 100_001, 2))
+    assert len(parse_proof("\n".join(lines))) == 1 + 500 + 12_500
+    caches = {
+        encode_module._literal: encode_module._LITERAL_CACHE_SIZE,
+        encode_module._read_int: encode_module._TOKEN_CACHE_SIZE,
+        encode_module._read_literal: encode_module._TOKEN_CACHE_SIZE,
+    }
+    for cache, bound in caches.items():
+        info = cache.cache_info()
+        assert info.maxsize == bound
+        assert info.currsize <= bound
