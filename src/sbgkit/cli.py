@@ -103,7 +103,10 @@ def _cmd_encode(args) -> int:
 def _cmd_solve(args) -> int:
     res = solve(parse_opb(Path(args.opb).read_text()))
     st = res.stats
-    print(f"c decisions={st.decisions} propagations={st.propagations} conflicts={st.conflicts}")
+    print(
+        f"c decisions={st.decisions} propagations={st.propagations} "
+        f"conflicts={st.conflicts} bound_conflicts={st.bound_conflicts}"
+    )
     if res.is_sat:
         print("s SATISFIABLE")
         print(_witness_line(res.witness))

@@ -9,6 +9,18 @@ Negative slack is a conflict; every unassigned literal whose coefficient
 exceeds the slack is forced true, all of them in one trail entry.  A trail
 entry keeps the assignment from before it, so an undo restores a snapshot.
 
+When a decision or a flip propagates without a conflict, a packing bound
+may still refute the node; the root is not checked.  It applies to every at-most
+constraint, ``sum ~x >= degree`` with coefficients 1, whose slack is how many
+more of its variables may become true: unsatisfied clauses of plain literals
+over those variables with pairwise disjoint free literals each need one of
+them, so more such clauses than slack is a conflict.  The clauses are picked
+greedily, fewest free literals first.  This is the standard lower bound of
+hitting-set search; it cuts the SBG budget-9 refutation from 21,755
+decisions to 1,237.  Each bound conflict is one cutting-planes sum, the
+at-most constraint plus the packed clauses, which propagation refutes.  A
+formula without at-most constraints never runs it.
+
 Branching picks an unsatisfied constraint with the fewest unassigned
 literals and, within it, the literal whose variable appears in the most
 unsatisfied constraints, assigning the value that makes the literal true.
@@ -63,6 +75,7 @@ class SolveStats:
     decisions: int = 0
     propagations: int = 0
     conflicts: int = 0
+    bound_conflicts: int = 0  # the part of conflicts the packing bound found
 
 
 @dataclass(frozen=True)
@@ -104,6 +117,9 @@ class _Search:
         self.summed: list[int] = []  # indices of the constraints that are not clauses
         self.occ = [0] * (2 * num_vars)  # the constraints containing a literal
         self.sat_by = [0] * (2 * num_vars)  # the constraints a literal satisfies alone
+        self.clauses = 0  # the clauses with coefficients 1, which at-most constraints pack
+        self.at_most: list[tuple[int, int]] = []  # (index, plain literals of its variables)
+        self.packable: list[int] = []  # per at-most constraint: the clauses over its variables
         # Constraints attached with slack below their largest coefficient,
         # such as a blocking clause at a model: an undo can leave them
         # forcing or falsified without any of their literals falling.
@@ -127,9 +143,25 @@ class _Search:
                 self.sat_by[l] |= bit
         if satisfying == mask:
             self.cons.append((1, [(1, mask)]))
+            if c.degree == 1 and by_coef.keys() == {1}:
+                self.clauses |= bit
+                for i, (_, plain) in enumerate(self.at_most):
+                    if not mask & ~plain:
+                        self.packable[i] |= bit
         else:
             self.cons.append((c.degree, sorted(by_coef.items(), reverse=True)))
             self.summed.append(ci)
+            if by_coef.keys() == {1} and not mask & self.even:
+                plain = mask >> 1
+                packable = 0
+                rest = self.clauses
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    if not self.mask[low.bit_length() - 1] & ~plain:
+                        packable |= low
+                self.at_most.append((ci, plain))
+                self.packable.append(packable)
         self.lits.append(lits)
         self.mask.append(mask)
         # sat follows from the assignment, also in the trail's snapshots
@@ -254,6 +286,55 @@ class _Search:
                     return False
         return True
 
+    def bound(self) -> tuple[int, ...]:
+        """The packing bound at a propagation fixpoint; the indices it used.
+
+        An at-most constraint ``sum ~x >= degree`` over variables S has slack
+        ``popcount(its literals & ~false) - degree``: how many more of S may
+        become true.  Every unsatisfied clause of plain literals over S needs
+        one of its free variables made true, so clauses with pairwise
+        disjoint free literals each use up one unit of slack.  The clauses
+        are packed greedily, fewest free literals first (on ties, the lowest
+        free-literal mask, then the lowest index), and more picks than slack
+        is a conflict.  On a conflict, returns the at-most constraint's index
+        followed by the picked clauses'; their sum is a constraint that
+        propagation refutes under the current assignment, so the leaf is one
+        cutting-planes step.  Returns () when the bound does not fire.
+        """
+        free = ~self.assigned
+        open_ = ~self.sat
+        mask, cons = self.mask, self.cons
+        for (ai, plain), packable in zip(self.at_most, self.packable):
+            degree, [(_, lits)] = cons[ai]
+            slack = (lits & ~self.false).bit_count() - degree
+            rest = packable & open_
+            # each unsatisfied clause has two free literals at a fixpoint
+            if rest.bit_count() <= slack or (plain & free).bit_count() < 2 * slack + 2:
+                continue
+            found = []
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                ci = low.bit_length() - 1
+                m = mask[ci] & free
+                found.append((m.bit_count(), m, ci))
+            found.sort()
+            used = 0
+            picked = [ai]
+            for _, m, ci in found:
+                if not m & used:
+                    used |= m
+                    picked.append(ci)
+                    if len(picked) > slack + 1:
+                        self.stats.conflicts += 1
+                        self.stats.bound_conflicts += 1
+                        return tuple(picked)
+        return ()
+
+    def _refuted(self) -> bool:
+        """Propagate, then try the packing bound; True on a conflict."""
+        return not self.propagate() or bool(self.at_most and self.bound())
+
     def pick_branch(self) -> tuple[int, bool] | None:
         """Branch literal, or None when every constraint is satisfied.
 
@@ -333,7 +414,7 @@ class _Search:
                 self.stats.decisions += 1
                 dec_stack.append((len(self.trail), v, negated, False))
                 self.assign(v, 0 if negated else 1)
-                conflict = not self.propagate()
+                conflict = self._refuted()
             else:
                 if not dec_stack:
                     return
@@ -342,7 +423,7 @@ class _Search:
                 if not flipped:
                     dec_stack.append((tlen, v, negated, True))
                     self.assign(v, 1 if negated else 0)
-                    conflict = not self.propagate()
+                    conflict = self._refuted()
 
 
 def _search_for(f: PBFormula) -> _Search:

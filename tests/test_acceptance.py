@@ -121,7 +121,8 @@ def test_criterion_4_lower_bound(sbg, oracle_counts):
     solver_time = time.time() - t
     assert res.status == "UNSAT"
     # the search tree: a change in these counts is a change of search
-    assert (res.stats.decisions, res.stats.conflicts) == (21755, 21756)
+    stats = res.stats
+    assert (stats.decisions, stats.conflicts, stats.bound_conflicts) == (1237, 1238, 1237)
     assert solver_time < 300
     report(4, f"no code of size 8 or 9; solver refutes budget 9 in {solver_time:.1f}s")
 
@@ -133,14 +134,14 @@ def test_criterion_5_upper_bound_and_count(sbg, oracle_counts):
     assert min_ics_size(sbg, 12) == 10
 
     t = time.time()
-    # the search tree: 55,358 decisions exhaust it, one fewer does not
-    exact = enumerate_all(encode_ics(sbg, 10, exact=True), node_limit=55_358)
+    # the search tree: 5,835 decisions exhaust it, one fewer does not
+    exact = enumerate_all(encode_ics(sbg, 10, exact=True), node_limit=5_835)
     enum_time = time.time() - t
     assert enum_time < 600
     assert len(exact) == 26
     with pytest.raises(SolveLimitReached) as exc:
-        enumerate_all(encode_ics(sbg, 10, exact=True), node_limit=55_357)
-    assert exc.value.stats.decisions == 55_357
+        enumerate_all(encode_ics(sbg, 10, exact=True), node_limit=5_834)
+    assert exc.value.stats.decisions == 5_834
     assert sorted(a.code_mask() for a in exact) == sorted(sols)
 
     # the plain <=10 budget must coincide: no smaller code exists

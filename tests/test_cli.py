@@ -85,7 +85,7 @@ def test_solve_reports_search_statistics(tmp_path, capsys):
     assert main(["solve", str(opb)]) == 0
     assert capsys.readouterr().out.splitlines() == [
         f"c decisions={stats.decisions} propagations={stats.propagations} "
-        f"conflicts={stats.conflicts}",
+        f"conflicts={stats.conflicts} bound_conflicts={stats.bound_conflicts}",
         "s UNSATISFIABLE",
     ]
 

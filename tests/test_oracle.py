@@ -23,7 +23,7 @@ from sbgkit.oracle import (
     count_ics,
     min_ics_size,
 )
-from sbgkit.solve import enumerate_all
+from sbgkit.solve import enumerate_all, solve
 
 
 def brute_count(g, k):
@@ -177,6 +177,32 @@ def test_oracle_agrees_with_solver_enumeration():
         f = encode_ics(g, k, exact=True)
         models = enumerate_all(f)
         assert sorted(sols) == sorted(a.code_mask() for a in models)
+
+
+def test_oracle_agrees_with_the_solver_where_the_bound_prunes():
+    # twin-free graphs beyond the 8 nodes above, where the solver's packing
+    # bound cuts the search: nothing below k* is found, and at k* and k*+1
+    # the exact and the at-most enumerations give the oracle's codes
+    rng = random.Random(17)
+    graphs = bound_conflicts = 0
+    while graphs < 12:
+        g = random_graph(rng, rng.randint(9, 12), p=rng.uniform(0.2, 0.6))
+        if len({g.closed_neighborhood(v) for v in range(g.n)}) < g.n:
+            continue
+        graphs += 1
+        k = min_ics_size(g, g.n)
+        res = solve(encode_ics(g, k - 1))
+        assert res.status == "UNSAT"
+        bound_conflicts += res.stats.bound_conflicts
+        codes = []
+        for size in range(k, min(k + 1, g.n) + 1):
+            _, sols = count_ics(g, size, collect=True)
+            codes += sols
+            exact = enumerate_all(encode_ics(g, size, exact=True))
+            assert sorted(a.code_mask() for a in exact) == sorted(sols)
+            at_most = enumerate_all(encode_ics(g, size))
+            assert sorted(a.code_mask() for a in at_most) == sorted(codes)
+    assert bound_conflicts > 20, bound_conflicts
 
 
 def test_min_size_trivia():

@@ -1,6 +1,8 @@
+import importlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from sbgkit.encode import (
@@ -15,6 +17,7 @@ from sbgkit.encode import (
 )
 from sbgkit.fixtures import EXAMPLE_UNSAT_OPB
 from sbgkit.graph import build_sbg
+from sbgkit.proof import RupChecker, add
 from sbgkit.solve import (
     SolveLimitReached,
     _Search,
@@ -177,7 +180,8 @@ def test_sbg_budget_10_search_tree():
     # a change in these counts is a change of search, not a faster propagation
     res = solve(encode_ics(build_sbg(), 10))
     assert res.is_sat
-    assert (res.stats.decisions, res.stats.conflicts) == (1899, 1889)
+    stats = res.stats
+    assert (stats.decisions, stats.conflicts, stats.bound_conflicts) == (201, 191, 163)
 
 
 def test_stats_populated():
@@ -342,3 +346,140 @@ def test_search_engine_propagates_like_a_fresh_counting_engine():
             ok = at_fixpoint()
             fixpoints += 1
     assert fixpoints > 6000 and attached_at_total > 800
+
+
+# -- the packing bound on at-most constraints -----------------------------------
+
+
+def hitting_set_formula(rng, n):
+    """Clauses of two or three plain literals and one or two at-most
+    constraints over n >= 4 variables, sometimes an at-least constraint and
+    clauses of mixed signs."""
+    variables = range(1, n + 1)
+    cons = [
+        LinearConstraint(tuple(
+            (1, pos(v)) for v in sorted(rng.sample(variables, rng.randint(2, 3)))
+        ), 1)
+        for _ in range(rng.randint(n, 3 * n))
+    ]
+    for _ in range(rng.randint(1, 2)):
+        support = variables if rng.random() < 0.6 else rng.sample(variables, rng.randint(3, n))
+        cons.extend(normalize([(1, pos(v)) for v in support], "<=", rng.randint(1, len(support) // 2)))
+    if rng.random() < 0.3:
+        cons.extend(normalize([(1, pos(v)) for v in variables], ">=", rng.randint(1, n // 2)))
+    for _ in range(rng.randint(1, 2) if rng.random() < 0.3 else 0):
+        cons.append(LinearConstraint(tuple(
+            (1, Literal(v, rng.random() < 0.5)) for v in sorted(rng.sample(variables, rng.randint(1, 3)))
+        ), 1))
+    rng.shuffle(cons)
+    return PBFormula(n, tuple(cons))
+
+
+def watch_bound(monkeypatch, on_leaf):
+    """Make the solver call on_leaf(engine, used) each time the packing bound
+    fires, where used are the constraints it returned, the at-most one first;
+    engine.attached lists the constraints attached so far, by index."""
+
+    class Watched(_Search):
+        def __init__(self, num_vars):
+            super().__init__(num_vars)
+            self.attached = []
+
+        def add_constraint(self, c):
+            if not c.trivially_true:
+                self.attached.append(c)
+            super().add_constraint(c)
+
+        def bound(self):
+            used = super().bound()
+            if used:
+                on_leaf(self, [self.attached[ci] for ci in used])
+            return used
+
+    monkeypatch.setattr(importlib.import_module("sbgkit.solve"), "_Search", Watched)
+
+
+def _true_literals(eng):
+    return [Literal(v + 1, eng.value(v) == 0) for v in range(eng.num_vars) if eng.value(v) != -1]
+
+
+def test_packing_bound_is_sound_against_brute_force(monkeypatch):
+    # every time the bound fires, no assignment that satisfies the attached
+    # constraints (the formula, plus the blocking constraints of the models
+    # found so far) extends the current partial assignment
+    table = None  # every assignment of the current formula's variables, one per row
+    holds = {}  # each constraint's truth value on the rows of table
+    fired = []  # the number of packed clauses at each firing
+
+    def models_of(cons):
+        """The rows of table that satisfy every constraint in cons."""
+        out = np.ones(len(table), dtype=bool)
+        for c in cons:
+            if c not in holds:
+                lhs = np.zeros(len(table), dtype=np.int64)
+                for coef, lit in c.terms:
+                    column = table[:, lit.var - 1]
+                    lhs += coef * (1 - column if lit.negated else column)
+                holds[c] = lhs >= c.degree
+            out &= holds[c]
+        return out
+
+    def check(eng, used):
+        at_most, *packing = used
+        support = {lit.var for _, lit in at_most.terms}
+        assert at_most.degree >= 2 and all(coef == 1 and lit.negated for coef, lit in at_most.terms)
+        free = []
+        for c in packing:
+            assert c.degree == 1 and all(coef == 1 and not lit.negated for coef, lit in c.terms)
+            assert {lit.var for _, lit in c.terms} <= support
+            assert all(eng.value(lit.var - 1) == 0 for _, lit in c.terms if eng.value(lit.var - 1) != -1)
+            free.append({lit.var for _, lit in c.terms if eng.value(lit.var - 1) == -1})
+        assert all(not a & b for a, b in itertools.combinations(free, 2))
+        true_count = sum(eng.value(v - 1) == 1 for v in support)
+        assert len(packing) > len(support) - at_most.degree - true_count  # more picks than slack
+
+        extends = models_of(eng.attached)
+        for lit in _true_literals(eng):
+            extends &= table[:, lit.var - 1] == (0 if lit.negated else 1)
+        assert not extends.any(), (eng.attached, _true_literals(eng))
+        fired.append(len(packing))
+
+    watch_bound(monkeypatch, check)
+    rng = random.Random(21)
+    for _ in range(600):
+        n = rng.randint(4, 12)
+        table = np.arange(1 << n)[:, None] >> np.arange(n) & 1  # row r is x_{v+1} = bit v of r
+        holds.clear()
+        f = hitting_set_formula(rng, n)
+        models = {tuple(row.tolist()) for row in table[models_of(f.constraints)]}
+        res = solve(f)
+        assert res.is_sat == bool(models)
+        assert {a.values for a in enumerate_all(f)} == models
+    assert len(fired) > 300 and max(fired) >= 4, (len(fired), max(fired))
+
+
+def _sum_refutes_the_assignment(eng, used):
+    """The sum of the at-most constraint and its packing, stored alone in a
+    fresh RUP checker, refutes the current partial assignment."""
+    total = used[0]
+    for c in used[1:]:
+        total = add(total, c)
+    checker = RupChecker()
+    checker.store(total)
+    true = _true_literals(eng)
+    return checker.refutes(LinearConstraint(tuple((1, lit) for lit in true), len(true)))
+
+
+def test_each_bound_leaf_is_one_cutting_planes_sum(monkeypatch):
+    leaves = []
+    watch_bound(monkeypatch, lambda eng, used: leaves.append(_sum_refutes_the_assignment(eng, used)))
+    rng = random.Random(21)
+    for _ in range(600):
+        f = hitting_set_formula(rng, rng.randint(4, 12))
+        solve(f)
+        enumerate_all(f)
+    assert len(leaves) > 300 and all(leaves)
+
+    leaves.clear()
+    res = solve(encode_ics(build_sbg(), 9))
+    assert len(leaves) == res.stats.bound_conflicts == 1237 and all(leaves)
