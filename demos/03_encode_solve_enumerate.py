@@ -8,7 +8,8 @@ constraint as literal bitmasks and propagates it from its slack, a few
 popcounts, so UNSAT answers are exhaustive, and blocking constraints turn it
 into an all-solutions enumerator.  After each decision a packing bound
 refutes the node when the unsatisfied clauses with pairwise disjoint free
-literals outnumber what the budget still allows: budget 9 takes 1,237
+literals outnumber what the budget still allows, and fixes the budget's other
+free variables false when they use it up exactly: budget 9 takes 300
 decisions, where propagation alone took 21,755.
 """
 

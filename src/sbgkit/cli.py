@@ -105,7 +105,8 @@ def _cmd_solve(args) -> int:
     st = res.stats
     print(
         f"c decisions={st.decisions} propagations={st.propagations} "
-        f"conflicts={st.conflicts} bound_conflicts={st.bound_conflicts}"
+        f"conflicts={st.conflicts} bound_conflicts={st.bound_conflicts} "
+        f"bound_fixings={st.bound_fixings}"
     )
     if res.is_sat:
         print("s SATISFIABLE")

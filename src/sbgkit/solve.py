@@ -16,10 +16,15 @@ more of its variables may become true: unsatisfied clauses of plain literals
 over those variables with pairwise disjoint free literals each need one of
 them, so more such clauses than slack is a conflict.  The clauses are picked
 greedily, fewest free literals first.  This is the standard lower bound of
-hitting-set search; it cuts the SBG budget-9 refutation from 21,755
-decisions to 1,237.  Each bound conflict is one cutting-planes sum, the
-at-most constraint plus the packed clauses, which propagation refutes.  A
-formula without at-most constraints never runs it.
+hitting-set search.  When exactly slack clauses are picked, they use up the
+slack, so every other free variable of the at-most constraint is fixed false
+in one trail entry (the "limit lower bound" of covering search); propagation
+and the bound then run again until a conflict or nothing new is fixed.  The
+two cut the SBG budget-9 refutation from 21,755 decisions to 300.  Each
+bound conflict and each fixing is one cutting-planes sum, the at-most
+constraint plus the packed clauses, from which propagation derives the
+conflict or the fixed literals.  A formula without at-most constraints never
+runs it.
 
 Branching picks an unsatisfied constraint with the fewest unassigned
 literals and, within it, the literal whose variable appears in the most
@@ -76,6 +81,7 @@ class SolveStats:
     propagations: int = 0
     conflicts: int = 0
     bound_conflicts: int = 0  # the part of conflicts the packing bound found
+    bound_fixings: int = 0  # trail entries in which the packing bound fixed variables false
 
 
 @dataclass(frozen=True)
@@ -286,8 +292,8 @@ class _Search:
                     return False
         return True
 
-    def bound(self) -> tuple[int, ...]:
-        """The packing bound at a propagation fixpoint; the indices it used.
+    def bound(self) -> tuple[tuple[int, ...], int]:
+        """The packing bound at a propagation fixpoint: (indices used, literals fixed).
 
         An at-most constraint ``sum ~x >= degree`` over variables S has slack
         ``popcount(its literals & ~false) - degree``: how many more of S may
@@ -295,11 +301,17 @@ class _Search:
         one of its free variables made true, so clauses with pairwise
         disjoint free literals each use up one unit of slack.  The clauses
         are packed greedily, fewest free literals first (on ties, the lowest
-        free-literal mask, then the lowest index), and more picks than slack
-        is a conflict.  On a conflict, returns the at-most constraint's index
-        followed by the picked clauses'; their sum is a constraint that
-        propagation refutes under the current assignment, so the leaf is one
-        cutting-planes step.  Returns () when the bound does not fire.
+        free-literal mask, then the lowest index).  More picks than slack is
+        a conflict.  Exactly slack picks use up the budget, so every free
+        variable of S outside the picks' free literals must be false: those
+        are fixed false in one trail entry and the bound returns, since the
+        next at-most constraint needs the fixing propagated first.
+        ``used`` is the at-most constraint's index followed by the picks';
+        their sum is a constraint that propagation refutes under the current
+        assignment on a conflict, and that forces the fixed literals on a
+        fixing, so either is one cutting-planes step.  ``fixed`` is the mask
+        of literals made true, 0 on a conflict.  Returns ((), 0) when the
+        bound does not fire.
         """
         free = ~self.assigned
         open_ = ~self.sat
@@ -308,8 +320,9 @@ class _Search:
             degree, [(_, lits)] = cons[ai]
             slack = (lits & ~self.false).bit_count() - degree
             rest = packable & open_
-            # each unsatisfied clause has two free literals at a fixpoint
-            if rest.bit_count() <= slack or (plain & free).bit_count() < 2 * slack + 2:
+            # each unsatisfied clause has two free literals at a fixpoint, so
+            # slack picks leave nothing outside them when S has <= 2 * slack
+            if rest.bit_count() < slack or (plain & free).bit_count() <= 2 * slack:
                 continue
             found = []
             while rest:
@@ -328,12 +341,24 @@ class _Search:
                     if len(picked) > slack + 1:
                         self.stats.conflicts += 1
                         self.stats.bound_conflicts += 1
-                        return tuple(picked)
-        return ()
+                        return tuple(picked), 0
+            outside = plain & free & ~used
+            if len(picked) == slack + 1 and outside:
+                self._make_true(outside << 1)
+                self.stats.bound_fixings += 1
+                return tuple(picked), outside << 1
+        return (), 0
 
     def _refuted(self) -> bool:
-        """Propagate, then try the packing bound; True on a conflict."""
-        return not self.propagate() or bool(self.at_most and self.bound())
+        """Propagate and run the packing bound until it fixes nothing new;
+        True on a conflict."""
+        while self.propagate():
+            if not self.at_most:
+                return False
+            used, fixed = self.bound()
+            if not fixed:
+                return bool(used)
+        return True
 
     def pick_branch(self) -> tuple[int, bool] | None:
         """Branch literal, or None when every constraint is satisfied.

@@ -122,7 +122,9 @@ def test_criterion_4_lower_bound(sbg, oracle_counts):
     assert res.status == "UNSAT"
     # the search tree: a change in these counts is a change of search
     stats = res.stats
-    assert (stats.decisions, stats.conflicts, stats.bound_conflicts) == (1237, 1238, 1237)
+    assert (
+        stats.decisions, stats.conflicts, stats.bound_conflicts, stats.bound_fixings
+    ) == (300, 301, 229, 315)
     assert solver_time < 300
     report(4, f"no code of size 8 or 9; solver refutes budget 9 in {solver_time:.1f}s")
 
@@ -134,14 +136,14 @@ def test_criterion_5_upper_bound_and_count(sbg, oracle_counts):
     assert min_ics_size(sbg, 12) == 10
 
     t = time.time()
-    # the search tree: 5,835 decisions exhaust it, one fewer does not
-    exact = enumerate_all(encode_ics(sbg, 10, exact=True), node_limit=5_835)
+    # the search tree: 1,390 decisions exhaust it, one fewer does not
+    exact = enumerate_all(encode_ics(sbg, 10, exact=True), node_limit=1_390)
     enum_time = time.time() - t
     assert enum_time < 600
     assert len(exact) == 26
     with pytest.raises(SolveLimitReached) as exc:
-        enumerate_all(encode_ics(sbg, 10, exact=True), node_limit=5_834)
-    assert exc.value.stats.decisions == 5_834
+        enumerate_all(encode_ics(sbg, 10, exact=True), node_limit=1_389)
+    assert exc.value.stats.decisions == 1_389
     assert sorted(a.code_mask() for a in exact) == sorted(sols)
 
     # the plain <=10 budget must coincide: no smaller code exists

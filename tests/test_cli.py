@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -85,9 +86,21 @@ def test_solve_reports_search_statistics(tmp_path, capsys):
     assert main(["solve", str(opb)]) == 0
     assert capsys.readouterr().out.splitlines() == [
         f"c decisions={stats.decisions} propagations={stats.propagations} "
-        f"conflicts={stats.conflicts} bound_conflicts={stats.bound_conflicts}",
+        f"conflicts={stats.conflicts} bound_conflicts={stats.bound_conflicts} "
+        f"bound_fixings={stats.bound_fixings}",
         "s UNSATISFIABLE",
     ]
+
+
+def test_readme_shows_the_solve_line_of_budget_9(sbg_file, tmp_path, capsys):
+    # README's example is the `c` line `sbgkit solve` prints for sbg9.opb
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    shown = [line for line in readme.splitlines() if line.startswith("c decisions=")]
+    opb = tmp_path / "sbg9.opb"
+    assert main(["encode", "--graph", str(sbg_file), "--budget", "9", "--out", str(opb)]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(opb)]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == [*shown, "s UNSATISFIABLE"]
 
 
 def test_enumerate_projection_flag(tmp_path, capsys):

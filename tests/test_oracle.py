@@ -184,7 +184,7 @@ def test_oracle_agrees_with_the_solver_where_the_bound_prunes():
     # bound cuts the search: nothing below k* is found, and at k* and k*+1
     # the exact and the at-most enumerations give the oracle's codes
     rng = random.Random(17)
-    graphs = bound_conflicts = 0
+    graphs = bound_conflicts = bound_fixings = 0
     while graphs < 12:
         g = random_graph(rng, rng.randint(9, 12), p=rng.uniform(0.2, 0.6))
         if len({g.closed_neighborhood(v) for v in range(g.n)}) < g.n:
@@ -194,6 +194,7 @@ def test_oracle_agrees_with_the_solver_where_the_bound_prunes():
         res = solve(encode_ics(g, k - 1))
         assert res.status == "UNSAT"
         bound_conflicts += res.stats.bound_conflicts
+        bound_fixings += res.stats.bound_fixings
         codes = []
         for size in range(k, min(k + 1, g.n) + 1):
             _, sols = count_ics(g, size, collect=True)
@@ -202,7 +203,10 @@ def test_oracle_agrees_with_the_solver_where_the_bound_prunes():
             assert sorted(a.code_mask() for a in exact) == sorted(sols)
             at_most = enumerate_all(encode_ics(g, size))
             assert sorted(a.code_mask() for a in at_most) == sorted(codes)
-    assert bound_conflicts > 20, bound_conflicts
+    # fixings do part of the bound's work that conflicts did without them
+    assert bound_conflicts + bound_fixings > 20 and bound_fixings > 0, (
+        bound_conflicts, bound_fixings
+    )
 
 
 def test_min_size_trivia():

@@ -181,7 +181,9 @@ def test_sbg_budget_10_search_tree():
     res = solve(encode_ics(build_sbg(), 10))
     assert res.is_sat
     stats = res.stats
-    assert (stats.decisions, stats.conflicts, stats.bound_conflicts) == (201, 191, 163)
+    assert (
+        stats.decisions, stats.conflicts, stats.bound_conflicts, stats.bound_fixings
+    ) == (37, 30, 15, 56)
 
 
 def test_stats_populated():
@@ -375,10 +377,12 @@ def hitting_set_formula(rng, n):
     return PBFormula(n, tuple(cons))
 
 
-def watch_bound(monkeypatch, on_leaf):
-    """Make the solver call on_leaf(engine, used) each time the packing bound
-    fires, where used are the constraints it returned, the at-most one first;
-    engine.attached lists the constraints attached so far, by index."""
+def watch_bound(monkeypatch, on_fire):
+    """Make the solver call on_fire(engine, used, fixed) each time the packing
+    bound fires, where used are the constraints it returned, the at-most one
+    first, and fixed the literals it made true, [] on a conflict; the engine's
+    assignment is the one the bound saw, without fixed.  engine.attached lists
+    the constraints attached so far, by index."""
 
     class Watched(_Search):
         def __init__(self, num_vars):
@@ -391,12 +395,22 @@ def watch_bound(monkeypatch, on_leaf):
             super().add_constraint(c)
 
         def bound(self):
-            used = super().bound()
+            mark = len(self.trail)
+            used, fixed = super().bound()
             if used:
-                on_leaf(self, [self.attached[ci] for ci in used])
-            return used
+                made = self.trail[mark:]
+                self.undo(mark)  # show on_fire the assignment the bound saw
+                on_fire(self, [self.attached[ci] for ci in used], _literals(fixed))
+                for lits, *_ in made:
+                    self._make_true(lits)
+            return used, fixed
 
     monkeypatch.setattr(importlib.import_module("sbgkit.solve"), "_Search", Watched)
+
+
+def _literals(mask):
+    """The literals of a literal mask, bit 2 * v + negated for x_{v+1}."""
+    return [Literal(l // 2 + 1, bool(l & 1)) for l in range(mask.bit_length()) if mask >> l & 1]
 
 
 def _true_literals(eng):
@@ -406,10 +420,12 @@ def _true_literals(eng):
 def test_packing_bound_is_sound_against_brute_force(monkeypatch):
     # every time the bound fires, no assignment that satisfies the attached
     # constraints (the formula, plus the blocking constraints of the models
-    # found so far) extends the current partial assignment
+    # found so far) extends the current partial assignment on a conflict, or
+    # extends it with a fixed variable true on a fixing
     table = None  # every assignment of the current formula's variables, one per row
     holds = {}  # each constraint's truth value on the rows of table
-    fired = []  # the number of packed clauses at each firing
+    fired = []  # the number of packed clauses at each conflict
+    fixings = []  # the number of variables fixed at each fixing
 
     def models_of(cons):
         """The rows of table that satisfy every constraint in cons."""
@@ -424,7 +440,7 @@ def test_packing_bound_is_sound_against_brute_force(monkeypatch):
             out &= holds[c]
         return out
 
-    def check(eng, used):
+    def check(eng, used, fixed):
         at_most, *packing = used
         support = {lit.var for _, lit in at_most.terms}
         assert at_most.degree >= 2 and all(coef == 1 and lit.negated for coef, lit in at_most.terms)
@@ -436,13 +452,25 @@ def test_packing_bound_is_sound_against_brute_force(monkeypatch):
             free.append({lit.var for _, lit in c.terms if eng.value(lit.var - 1) == -1})
         assert all(not a & b for a, b in itertools.combinations(free, 2))
         true_count = sum(eng.value(v - 1) == 1 for v in support)
-        assert len(packing) > len(support) - at_most.degree - true_count  # more picks than slack
+        slack = len(support) - at_most.degree - true_count
 
         extends = models_of(eng.attached)
         for lit in _true_literals(eng):
             extends &= table[:, lit.var - 1] == (0 if lit.negated else 1)
-        assert not extends.any(), (eng.attached, _true_literals(eng))
-        fired.append(len(packing))
+        if not fixed:
+            assert len(packing) > slack
+            assert not extends.any(), (eng.attached, _true_literals(eng))
+            fired.append(len(packing))
+            return
+        # a fixing: exactly slack picks, and the free variables of the
+        # at-most constraint outside them all made false
+        assert len(packing) == slack
+        outside = {v for v in support if eng.value(v - 1) == -1} - set().union(*free)
+        assert all(lit.negated for lit in fixed)
+        assert {lit.var for lit in fixed} == outside
+        for lit in fixed:
+            assert not (extends & (table[:, lit.var - 1] == 1)).any(), (eng.attached, lit)
+        fixings.append(len(fixed))
 
     watch_bound(monkeypatch, check)
     rng = random.Random(21)
@@ -456,23 +484,28 @@ def test_packing_bound_is_sound_against_brute_force(monkeypatch):
         assert res.is_sat == bool(models)
         assert {a.values for a in enumerate_all(f)} == models
     assert len(fired) > 300 and max(fired) >= 4, (len(fired), max(fired))
+    assert len(fixings) > 300 and max(fixings) >= 4, (len(fixings), max(fixings))
 
 
-def _sum_refutes_the_assignment(eng, used):
+def _sum_refutes(used, true):
     """The sum of the at-most constraint and its packing, stored alone in a
-    fresh RUP checker, refutes the current partial assignment."""
+    fresh RUP checker, refutes the true literals."""
     total = used[0]
     for c in used[1:]:
         total = add(total, c)
     checker = RupChecker()
     checker.store(total)
-    true = _true_literals(eng)
     return checker.refutes(LinearConstraint(tuple((1, lit) for lit in true), len(true)))
 
 
 def test_each_bound_leaf_is_one_cutting_planes_sum(monkeypatch):
     leaves = []
-    watch_bound(monkeypatch, lambda eng, used: leaves.append(_sum_refutes_the_assignment(eng, used)))
+
+    def on_fire(eng, used, fixed):
+        if not fixed:
+            leaves.append(_sum_refutes(used, _true_literals(eng)))
+
+    watch_bound(monkeypatch, on_fire)
     rng = random.Random(21)
     for _ in range(600):
         f = hitting_set_formula(rng, rng.randint(4, 12))
@@ -482,4 +515,54 @@ def test_each_bound_leaf_is_one_cutting_planes_sum(monkeypatch):
 
     leaves.clear()
     res = solve(encode_ics(build_sbg(), 9))
-    assert len(leaves) == res.stats.bound_conflicts == 1237 and all(leaves)
+    assert len(leaves) == res.stats.bound_conflicts == 229 and all(leaves)
+
+
+def test_each_bound_fixing_is_one_cutting_planes_sum(monkeypatch):
+    # the same sum forces every fixed literal: with any one fixed variable
+    # made true instead, propagation refutes it
+    fixings = []  # per fixing: (fixed literals, each refuted)
+
+    def on_fire(eng, used, fixed):
+        if fixed:
+            true = _true_literals(eng)
+            fixings.append((len(fixed), all(_sum_refutes(used, true + [~lit]) for lit in fixed)))
+
+    watch_bound(monkeypatch, on_fire)
+    rng = random.Random(21)
+    for _ in range(600):
+        f = hitting_set_formula(rng, rng.randint(4, 12))
+        solve(f)
+        enumerate_all(f)
+    assert len(fixings) > 300 and all(ok for _, ok in fixings)
+
+    # on the SBG: budget 9, and the exact-10 enumeration through its models
+    fixings.clear()
+    res = solve(encode_ics(build_sbg(), 9))
+    assert res.stats.decisions == 300  # watching changes no search
+    assert len(fixings) == res.stats.bound_fixings == 315 and all(ok for _, ok in fixings)
+    assert sum(n for n, _ in fixings) == 2279
+    fixings.clear()
+    assert len(enumerate_all(encode_ics(build_sbg(), 10, exact=True))) == 26
+    assert len(fixings) == 1690 and all(ok for _, ok in fixings)
+    assert sum(n for n, _ in fixings) == 10751
+
+
+def test_a_decision_that_uses_up_the_slack_fixes_the_rest_false():
+    # x1 + ... + x7 <= 3 with clauses x1 | x2 and x3 | x4: at the root the two
+    # clauses cannot use up the slack of 3, but after x5 = 1 they use up the
+    # slack of 2, so x6 and x7 must be false
+    eng = _Search(7)
+    eng.add_constraint(normalize([(1, pos(v)) for v in range(1, 8)], "<=", 3)[0])
+    eng.add_constraint(LinearConstraint(((1, pos(1)), (1, pos(2))), 1))
+    eng.add_constraint(LinearConstraint(((1, pos(3)), (1, pos(4))), 1))
+    assert eng.propagate() and eng.bound() == ((), 0)
+    eng.assign(4, 1)
+    assert eng.propagate()
+    x6_x7_false = 1 << 2 * 5 + 1 | 1 << 2 * 6 + 1
+    assert eng.bound() == ((0, 1, 2), x6_x7_false)
+    assert [eng.value(v) for v in range(7)] == [-1, -1, -1, -1, 1, 0, 0]
+    assert eng.trail[-1][0] == x6_x7_false  # one trail entry
+    # the fixing propagates; the bound then finds nothing more
+    assert not eng._refuted()
+    assert eng.stats.bound_fixings == 1 and eng.stats.bound_conflicts == 0
