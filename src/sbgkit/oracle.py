@@ -4,24 +4,26 @@ solver and of the PB encoding.
 Every k-subset of the nodes is enumerated in colexicographic order as a
 bitmask; a subset qualifies when all per-node signatures ``N+(v) & subset``
 are nonempty and pairwise distinct.  The scan is vectorized with numpy, with
-a sound prefilter (small distinguishing sets and the domination masks must
-all be hit) discarding almost all candidates before the exact distinctness
-check.
+a sound prefilter (the 64 smallest of the closed neighborhoods and the
+distinguishing sets must all be hit) discarding almost all candidates before
+the exact check, which tests the whole definition.
 
 Each node has a 64-bit hit word whose bit i says the node lies in filter i,
 so a subset meets every filter exactly when the OR of its nodes' hit words is
 all ones: one compare per subset for all (at most 64) filters.
 
-The level is split on its top element into leaves of at most ``_CHUNK``
-subsets, each the r-subsets of some range(m) plus a fixed prefix.  The masks
-and hit words of the r-subsets are built once per r, and every leaf of size r
-reads a prefix of that cached level.  Memory is therefore bounded by
-``_CHUNK``: at most one cached level per leaf size, each at most ``_CHUNK``
-masks plus as many hit words, and the exact check's n-column signature matrix
-over one leaf's survivors.  On the 32-node soccer ball graph at k=10 the five
-cached levels hold 516,305 subsets and the whole scan peaks at about 7 MiB of
-numpy allocations (tracemalloc); the C(32, 10) level held whole would be
-246 MiB of masks.
+The level is cut into leaves of at most ``_CHUNK`` subsets, each the
+r-subsets of some range(m) plus a fixed prefix: the k-subsets of the largest
+range(t) that fits form one leaf, and the rest is split on its top element.
+The masks and hit words of the r-subsets are built once per r, and every
+leaf of size r reads a prefix of that cached level.  Memory is therefore
+bounded by ``_CHUNK``: at most one cached level per leaf size, each at most
+``_CHUNK`` masks plus as many hit words, and the exact check's n-column
+signature matrix over one leaf's survivors.  On the 32-node soccer ball
+graph at k=10 the scan reads 768 leaves; the five cached levels below k
+hold 516,305 subsets, the level of size k 92,378 while its one leaf is read,
+and the whole scan peaks at about 7 MiB of numpy allocations (tracemalloc);
+the C(32, 10) level held whole would be 246 MiB of masks.
 """
 
 from __future__ import annotations
@@ -77,14 +79,19 @@ def _leaves(
     leaves ``(m, r, prefix, prefix_hit)``: the at most _CHUNK r-subsets of
     range(m), each OR'd with *prefix*, whose hit words *prefix_hit* joins.
 
-    The k-subsets with maximum element top are the (k-1)-subsets of
-    range(top) plus top, so a level too large for one leaf is split on its
-    top element until each part fits.
+    A level too large for one leaf first yields the k-subsets of range(t)
+    whole, for the largest t whose level fits.  The k-subsets with maximum
+    element top are the (k-1)-subsets of range(top) plus top, so the rest
+    is split on the tops t..n-1 until each part fits.
     """
     if math.comb(n, k) <= _CHUNK:
         yield n, k, prefix, prefix_hit
         return
-    for top in range(k - 1, n):
+    t = k
+    while math.comb(t + 1, k) <= _CHUNK:
+        t += 1
+    yield t, k, prefix, prefix_hit
+    for top in range(t, n):
         yield from _leaves(top, k - 1, hw, prefix | 1 << top, prefix_hit | hw[top])
 
 
@@ -95,7 +102,8 @@ def _colex_blocks(n: int, k: int, hw: list[int], dtype):
     Both are prefixes of one level per r, built over range(M_r) for the
     largest M_r <= n - k + r (a leaf of size r lies below k - r distinct top
     elements) whose level fits in _CHUNK: in colex order the r-subsets of
-    range(m) come first among those of range(M_r).
+    range(m) come first among those of range(M_r).  One leaf alone has size
+    k, so its level is dropped once that leaf is read.
     """
     units = np.array([1 << j for j in range(n)], dtype=dtype)
     words = np.array(hw, dtype=np.uint64)
@@ -106,29 +114,28 @@ def _colex_blocks(n: int, k: int, hw: list[int], dtype):
             while math.comb(top, r) > _CHUNK:
                 top -= 1
             levels[r] = _level(units[:top], r), _level(words[:top], r)
-        masks, hits = levels[r]
+        masks, hits = levels[r] if r < k else levels.pop(r)
         c = math.comb(m, r)
         yield masks[:c], hits[:c], prefix, prefix_hit
 
 
 def _prefilters(g: Graph) -> list[int]:
-    """Node sets every dominating identifying code must intersect, at most
-    _PREFILTER_CAP of them.
+    """The _PREFILTER_CAP smallest node sets every dominating identifying
+    code must intersect.
 
-    The closed neighborhoods (domination) plus the smallest distinguishing
-    sets of pairs within distance two; an empty distinguishing set means no
-    code of any size works.  The oracle takes at most 64 nodes, so the
-    closed neighborhoods alone never exceed the cap.
+    The pool is the closed neighborhoods (domination) and the distinguishing
+    sets of pairs within distance two; smaller sets cut more candidates.  An
+    empty distinguishing set (twins) means no code of any size works, and
+    it sorts first.  Any neighborhood may fall outside the cap, so the exact
+    check in ``count_ics`` tests domination itself.
     """
-    masks = [g.closed_neighborhood(v) for v in range(g.n)]
-    ds = []
+    nb = [g.closed_neighborhood(v) for v in range(g.n)]
+    pool = list(nb)
     for u in range(g.n):
         reach = g.closed_two_neighborhood(u)
-        for v in bits(reach >> (u + 1) << (u + 1)):
-            ds.append(g.distinguishing_set(u, v))
-    ds.sort(key=lambda m: m.bit_count())
-    masks.extend(ds[: max(0, _PREFILTER_CAP - len(masks))])
-    return masks
+        pool.extend(nb[u] ^ nb[v] for v in bits(reach >> (u + 1) << (u + 1)))
+    pool.sort(key=int.bit_count)
+    return pool[:_PREFILTER_CAP]
 
 
 def _hit_words(filters: list[int], n: int) -> list[int]:
@@ -174,10 +181,11 @@ def count_ics(
         cand = masks[(hits | np.uint64(prefix_hit)) == full] | dtype(prefix)
         sig = cand[:, None] & nb[None, :]
         sig.sort(axis=1)
-        good = (np.diff(sig, axis=1) != 0).all(axis=1)
+        # nonempty and pairwise distinct, whatever the prefilter held
+        good = (sig[:, 0] != 0) & (sig[:, 1:] != sig[:, :-1]).all(axis=1)
         total += int(good.sum())
         if solutions is not None:
-            solutions.extend(int(m) for m in cand[good])
+            solutions.extend(cand[good].tolist())
     return total, solutions
 
 

@@ -3,6 +3,7 @@ import itertools
 import operator
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,12 +12,13 @@ from conftest import random_graph
 from sbgkit import oracle
 from sbgkit.encode import encode_ics
 from sbgkit.fixtures import example_graph
-from sbgkit.graph import Graph, mask_of
+from sbgkit.graph import Graph, bits, mask_of
 from sbgkit.ics import is_ics, motif_class_sets
 from sbgkit.oracle import (
     OracleError,
     _colex_blocks,
     _hit_words,
+    _leaves,
     _level,
     _prefilters,
     classify_solutions,
@@ -96,12 +98,35 @@ def test_small_chunk_changes_no_count(monkeypatch):
             assert sols == sorted(expected)  # colex order is increasing mask order
 
 
+def must_hit_pool(g):
+    """The closed neighborhoods and the distinguishing sets of the pairs
+    within distance two, from which _prefilters picks."""
+    return [g.closed_neighborhood(v) for v in range(g.n)] + [
+        g.distinguishing_set(u, v)
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+        if g.closed_two_neighborhood(u) >> v & 1
+    ]
+
+
+def assert_keeps_the_smallest(g, filters):
+    pool = Counter(must_hit_pool(g))
+    kept = Counter(filters)
+    assert kept <= pool
+    assert len(filters) == min(64, pool.total())
+    dropped = pool - kept
+    if dropped:
+        assert max(f.bit_count() for f in filters) <= min(
+            f.bit_count() for f in dropped
+        )
+
+
 def test_prefilters_are_sound_and_the_hit_word_exact():
     rng = random.Random(19)
     for _ in range(30):
         g = random_graph(rng, rng.randint(1, 10), p=rng.uniform(0.1, 0.9))
         filters = _prefilters(g)
-        assert len(filters) <= 64
+        assert_keeps_the_smallest(g, filters)
         for k in range(g.n + 1):
             for code in brute_count(g, k)[1]:
                 assert all(code & f for f in filters)
@@ -112,8 +137,53 @@ def test_prefilters_are_sound_and_the_hit_word_exact():
                 operator.or_, (hw[j] for j in range(g.n) if sub >> j & 1), 0
             )
             assert (hit == full) == all(sub & f for f in filters)
-    for n in (40, 64):  # more pairs than the cap leaves room for
-        assert len(_prefilters(random_graph(rng, n))) <= 64
+    for n in (40, 64):  # more sets than the cap keeps
+        g = random_graph(rng, n)
+        assert_keeps_the_smallest(g, _prefilters(g))
+
+
+def test_a_graph_with_twins_counts_zero_at_every_k():
+    rng = random.Random(21)
+    for _ in range(12):
+        g = random_graph(rng, rng.randint(1, 9), p=rng.uniform(0.1, 0.9))
+        v = rng.randrange(g.n)
+        # a new node joined to v and to v's neighbors is v's closed twin
+        twin = Graph(
+            g.n + 1, list(g.edges) + [(u, g.n) for u in bits(g.closed_neighborhood(v))]
+        )
+        assert _prefilters(twin)[0] == 0  # the empty distinguishing set sorts first
+        for k in range(twin.n + 1):
+            assert count_ics(twin, k, collect=True) == (0, [])
+            assert brute_count(twin, k)[0] == 0
+
+
+def test_the_exact_step_decides_alone(monkeypatch):
+    # with few filters, domination and distinctness rest on the exact check
+    for cap in (0, 1, 5, 64):
+        monkeypatch.setattr(oracle, "_PREFILTER_CAP", cap)
+        rng = random.Random(20)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(1, 9), p=rng.uniform(0.1, 0.9))
+            k = rng.randint(0, g.n)
+            expected_count, expected = brute_count(g, k)
+            assert count_ics(g, k, collect=True) == (expected_count, sorted(expected))
+
+
+def test_sbg_scan_work_is_pinned(sbg):
+    # leaves scanned and prefilter survivors at k = 8, 9, 10: leaves that
+    # split again or a weaker filter fail here, not only in a timing
+    filters = _prefilters(sbg)
+    hw = _hit_words(filters, sbg.n)
+    full = np.uint64((1 << len(filters)) - 1)
+    work = {}
+    for k in (8, 9, 10):
+        leaves = sum(1 for _ in _leaves(sbg.n, k, hw))
+        survivors = sum(
+            int(((hits | np.uint64(prefix_hit)) == full).sum())
+            for _, hits, _, prefix_hit in _colex_blocks(sbg.n, k, hw, np.uint32)
+        )
+        work[k] = leaves, survivors
+    assert work == {8: (152, 0), 9: (371, 86), 10: (768, 3817)}
 
 
 def test_count_builds_no_level_it_never_reads():
