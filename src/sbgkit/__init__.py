@@ -10,7 +10,6 @@ refutation proofs.
 from .graph import (
     Graph,
     GraphError,
-    SbgLabel,
     bits,
     build_sbg,
     mask_of,
@@ -19,7 +18,9 @@ from .graph import (
     write_edge_list,
 )
 from .ics import (
+    ClassHistogram,
     MotifSet,
+    classify_solutions,
     color_table,
     is_ics,
     motif_class_sets,
@@ -48,7 +49,6 @@ from .solve import (
     solve,
 )
 from .proof import (
-    ConstraintDb,
     ProofParseError,
     ProofStep,
     Verification,
@@ -61,14 +61,13 @@ from .proof import (
     saturate,
     verify,
 )
-from .oracle import ClassHistogram, classify_solutions, count_ics, min_ics_size
+from .oracle import count_ics, min_ics_size
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Assignment",
     "ClassHistogram",
-    "ConstraintDb",
     "EncodeError",
     "Graph",
     "GraphError",
@@ -79,7 +78,6 @@ __all__ = [
     "PBFormula",
     "ProofParseError",
     "ProofStep",
-    "SbgLabel",
     "SolveLimitReached",
     "SolveResult",
     "Verification",

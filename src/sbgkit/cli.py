@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import fixtures
 from .graph import Graph, GraphError, build_sbg, bits, is_sbg, parse_edge_list, write_edge_list
-from .ics import color_table, is_ics, motif_class_sets, signatures
+from .ics import classify_solutions, color_table, is_ics, motif_class_sets, signatures
 from .encode import (
     Assignment,
     EncodeError,
@@ -26,7 +26,7 @@ from .encode import (
     parse_opb,
     write_opb,
 )
-from .oracle import OracleError, classify_solutions, count_ics
+from .oracle import OracleError, count_ics
 from .proof import ProofParseError, VerifyError, parse_proof, verify
 from .solve import SolveError, SolveLimitReached, enumerate_all, solve
 

@@ -8,7 +8,6 @@ Python's arbitrary-precision ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
@@ -40,35 +39,6 @@ def mask_of(nodes: Iterable[int]) -> int:
     return out
 
 
-_P_LAYERS = frozenset({1, 3, 4, 6})
-_H_LAYERS = frozenset({2, 3, 4, 5})
-
-
-@dataclass(frozen=True)
-class SbgLabel:
-    """Label of a soccer ball graph node: pentagon/hexagon kind, layer, position."""
-
-    kind: str
-    layer: int
-    position: int = 1
-
-    def __post_init__(self):
-        if self.kind not in ("P", "H"):
-            raise GraphError(f"label kind must be 'P' or 'H', got {self.kind!r}")
-        if self.kind == "P" and self.layer not in _P_LAYERS:
-            raise GraphError(f"P-type nodes appear only on layers {sorted(_P_LAYERS)}")
-        if self.kind == "H" and self.layer not in _H_LAYERS:
-            raise GraphError(f"H-type nodes appear only on layers {sorted(_H_LAYERS)}")
-        if self.layer in (1, 6):
-            if self.position != 1:
-                raise GraphError("layers 1 and 6 hold a single node at position 1")
-        elif not 1 <= self.position <= 5:
-            raise GraphError(f"position must be in 1..5, got {self.position}")
-
-    def __str__(self) -> str:
-        return f"{self.kind}{self.layer}_{self.position}"
-
-
 class Graph:
     """Immutable simple undirected graph over nodes ``0..n-1``.
 
@@ -78,13 +48,13 @@ class Graph:
     and processes.
     """
 
-    __slots__ = ("n", "_adj", "_labels", "_name_to_id")
+    __slots__ = ("n", "_adj", "_names", "_name_to_id")
 
     def __init__(
         self,
         n: int,
         edges: Iterable[tuple[int, int]],
-        labels: Sequence[object] | None = None,
+        names: Sequence[str] | None = None,
     ):
         if n < 0:
             raise GraphError(f"node count must be nonnegative, got {n}")
@@ -101,18 +71,14 @@ class Graph:
             seen.add(key)
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        if labels is None:
-            labels = tuple(f"v{i + 1}" for i in range(n))
-        else:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise GraphError(f"expected {n} labels, got {len(labels)}")
-        names = [str(lab) for lab in labels]
+        names = tuple(f"v{i + 1}" for i in range(n)) if names is None else tuple(names)
+        if len(names) != n:
+            raise GraphError(f"expected {n} names, got {len(names)}")
         if len(set(names)) != n:
             raise GraphError("node names must be distinct")
         self.n = n
         self._adj = tuple(adj)
-        self._labels = labels
+        self._names = names
         self._name_to_id = {name: i for i, name in enumerate(names)}
 
     # -- basic queries ----------------------------------------------------
@@ -164,11 +130,11 @@ class Graph:
             raise GraphError("distinguishing set requires two distinct nodes")
         return self.closed_neighborhood(u) ^ self.closed_neighborhood(v)
 
-    # -- names and labels --------------------------------------------------
+    # -- names -------------------------------------------------------------
 
     def node_name(self, v: int) -> str:
         self._check(v)
-        return str(self._labels[v])
+        return self._names[v]
 
     def node_id(self, name: str) -> int:
         try:
@@ -177,7 +143,7 @@ class Graph:
             raise GraphError(f"unknown node name {name!r}") from None
 
     def names(self) -> tuple[str, ...]:
-        return tuple(str(lab) for lab in self._labels)
+        return self._names
 
     def parse_node_set(self, selector: str | Iterable[str]) -> int:
         """Bitmask for a comma-separated string (or iterable) of node names."""
@@ -194,40 +160,33 @@ class Graph:
         return (
             self.n == other.n
             and self._adj == other._adj
-            and self.names() == other.names()
+            and self._names == other._names
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self._adj, self.names()))
+        return hash((self.n, self._adj, self._names))
 
 
 # -- soccer ball graph -----------------------------------------------------
 
 
-def _pos(k: int) -> int:
-    """Wrap an index into the cyclic position range 1..5."""
-    return (k - 1) % 5 + 1
-
-
-def _sbg_labels() -> tuple[SbgLabel, ...]:
-    labels = [SbgLabel("P", 1)]
-    labels += [SbgLabel("H", 2, j) for j in range(1, 6)]
-    labels += [SbgLabel("H", 3, j) for j in range(1, 6)]
-    labels += [SbgLabel("P", 3, j) for j in range(1, 6)]
-    labels += [SbgLabel("P", 4, j) for j in range(1, 6)]
-    labels += [SbgLabel("H", 4, j) for j in range(1, 6)]
-    labels += [SbgLabel("H", 5, j) for j in range(1, 6)]
-    labels.append(SbgLabel("P", 6))
-    return tuple(labels)
-
-
-_SBG_LABELS = _sbg_labels()
-_SBG_ID = {str(lab): i for i, lab in enumerate(_SBG_LABELS)}
+# (kind, layer, position) of each node in canonical order: P for a
+# pentagonal patch, H for a hexagonal one; layers 1 and 6 hold one pentagon.
+_SBG_NODES = (
+    ("P", 1, 1),
+    *[
+        (kind, layer, j)
+        for kind, layer in (("H", 2), ("H", 3), ("P", 3), ("P", 4), ("H", 4), ("H", 5))
+        for j in range(1, 6)
+    ],
+    ("P", 6, 1),
+)
+_SBG_ID = {f"{kind}{layer}_{j}": i for i, (kind, layer, j) in enumerate(_SBG_NODES)}
 
 
 def sbg_node(kind: str, layer: int, j: int = 1) -> int:
     """Canonical node id of P/H node at (layer, position), position wrapped to 1..5."""
-    p = 1 if layer in (1, 6) else _pos(j)
+    p = 1 if layer in (1, 6) else (j - 1) % 5 + 1
     try:
         return _SBG_ID[f"{kind}{layer}_{p}"]
     except KeyError:
@@ -269,12 +228,12 @@ def build_sbg() -> Graph:
         edges.append((H(4, j), H(5, j)))
         edges.append((P(4, j), H(5, j)))
         edges.append((P(4, j), H(5, j - 1)))
-    return Graph(32, edges, _SBG_LABELS)
+    return Graph(32, edges, tuple(_SBG_ID))
 
 
 def is_sbg(g: Graph) -> bool:
     """True iff *g* is the canonical soccer ball graph (same names, same edges)."""
-    return g.n == 32 and g.names() == tuple(map(str, _SBG_LABELS)) and g == build_sbg()
+    return g == build_sbg()
 
 
 # -- edge-list text format ---------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, bits, mask_of, sbg_node, _SBG_LABELS
+from .graph import Graph, GraphError, bits, mask_of, sbg_node, _SBG_ID, _SBG_NODES
 
 
 def signatures(g: Graph, code: int) -> tuple[int, ...]:
@@ -91,50 +91,74 @@ def _mirror_permutation() -> tuple[int, ...]:
     Layers map 1<->6, 2<->5, 3<->4 with cyclic positions reflected as
     j -> 5 - j (mod 5).  The map is an involution and preserves adjacency.
     """
-    return tuple(sbg_node(lab.kind, 7 - lab.layer, 5 - lab.position) for lab in _SBG_LABELS)
+    return tuple(sbg_node(kind, 7 - layer, 5 - j) for kind, layer, j in _SBG_NODES)
+
+
+def _rotation_permutation() -> tuple[int, ...]:
+    """The rotation j -> j + 1 (mod 5) about the P1-P6 axis, of order 5."""
+    return tuple(sbg_node(kind, layer, j + 1) for kind, layer, j in _SBG_NODES)
 
 
 def _apply(perm: tuple[int, ...], mask: int) -> int:
     return mask_of(perm[v] for v in bits(mask))
 
 
+def _code(names: str) -> int:
+    return mask_of(_SBG_ID[name] for name in names.split())
+
+
+def _turns(mask: int) -> list[int]:
+    """*mask* and its images under the rotation, for shifts j = 1..5."""
+    rotation = _rotation_permutation()
+    out = [mask]
+    for _ in range(4):
+        out.append(_apply(rotation, out[-1]))
+    return out
+
+
 def motif_class_sets() -> tuple[MotifSet, ...]:
     """The 26 size-10 identifying code sets of the SBG, by family.
 
     Family I is the two hexagon rings (layers 2 and 5).  Families II and III
-    pair a six-node pentagon motif with a four-node hexagon motif; each motif
-    pair translates cyclically to five sets, and mirroring top-to-bottom
-    yields the B variants.  Family IV uses two five-node hexagon motifs and
-    is closed under mirroring, giving five sets.
+    pair a six-node pentagon motif with a four-node hexagon motif; each
+    j = 1 seed turns to five sets, and mirroring top-to-bottom yields the B
+    variants.  Family IV uses two five-node hexagon motifs and is closed
+    under mirroring, giving five sets.
     """
-
-    def P(i, j=1):
-        return sbg_node("P", i, j)
-
-    def H(i, j):
-        return sbg_node("H", i, j)
-
     mirror = _mirror_permutation()
-    out = [
-        MotifSet(
-            "I", "", 0,
-            mask_of([H(2, j) for j in range(1, 6)] + [H(5, j) for j in range(1, 6)]),
-        )
-    ]
-    for j in range(1, 6):
-        pentas = [P(1), P(3, j), P(3, j + 1), P(4, j), P(4, j + 1), P(4, j + 2)]
-        hexas = [H(3, j + 3), H(3, j + 4), H(4, j + 3), H(5, j + 3)]
-        out.append(MotifSet("II", "A", j, mask_of(pentas + hexas)))
-    for j in range(1, 6):
-        out.append(MotifSet("II", "B", j, _apply(mirror, out[j].members)))
-    for j in range(1, 6):
-        pentas = [P(1), P(3, j), P(3, j + 1), P(3, j + 2), P(3, j + 4), P(4, j + 1)]
-        hexas = [H(4, j + 3), H(5, j + 2), H(5, j + 3), H(5, j + 4)]
-        out.append(MotifSet("III", "A", j, mask_of(pentas + hexas)))
-    for j in range(1, 6):
-        out.append(MotifSet("III", "B", j, _apply(mirror, out[10 + j].members)))
-    for j in range(1, 6):
-        ring_top = [H(2, j + 1), H(2, j + 2), H(3, j + 1), H(3, j + 2), H(4, j + 1)]
-        ring_bot = [H(3, j + 4), H(4, j + 3), H(4, j + 4), H(5, j + 3), H(5, j + 4)]
-        out.append(MotifSet("IV", "", j, mask_of(ring_top + ring_bot)))
+    out = [MotifSet("I", "", 0, _code("H2_1 H2_2 H2_3 H2_4 H2_5 H5_1 H5_2 H5_3 H5_4 H5_5"))]
+    for family, seed in (
+        ("II", "P1_1 P3_1 P3_2 P4_1 P4_2 P4_3 H3_4 H3_5 H4_4 H5_4"),
+        ("III", "P1_1 P3_1 P3_2 P3_3 P3_5 P4_2 H4_4 H5_3 H5_4 H5_5"),
+    ):
+        turns = _turns(_code(seed))
+        out += [MotifSet(family, "A", j, m) for j, m in enumerate(turns, 1)]
+        out += [MotifSet(family, "B", j, _apply(mirror, m)) for j, m in enumerate(turns, 1)]
+    seed = "H2_2 H2_3 H3_2 H3_3 H4_2 H3_5 H4_4 H4_5 H5_4 H5_5"
+    out += [MotifSet("IV", "", j, m) for j, m in enumerate(_turns(_code(seed)), 1)]
     return tuple(out)
+
+
+@dataclass(frozen=True)
+class ClassHistogram:
+    """Family counts for a batch of size-10 SBG codes, plus any strays."""
+
+    counts: dict[str, int]
+    matched: dict[int, MotifSet]
+    unmatched: list[int]
+
+
+def classify_solutions(solutions: list[int]) -> ClassHistogram:
+    """Match each code against the named SBG families (I, II, III, IV)."""
+    by_mask = {m.members: m for m in motif_class_sets()}
+    counts: dict[str, int] = {}
+    matched: dict[int, MotifSet] = {}
+    unmatched: list[int] = []
+    for mask in solutions:
+        motif = by_mask.get(mask)
+        if motif is None:
+            unmatched.append(mask)
+        else:
+            matched[mask] = motif
+            counts[motif.family] = counts.get(motif.family, 0) + 1
+    return ClassHistogram(counts, matched, unmatched)

@@ -29,12 +29,10 @@ the C(32, 10) level held whole would be 246 MiB of masks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Graph, bits
-from .ics import MotifSet, motif_class_sets
 
 _CHUNK = 1 << 17
 _PREFILTER_CAP = 64  # one uint64 hit word holds every filter
@@ -196,28 +194,3 @@ def min_ics_size(g: Graph, k_max: int) -> int | None:
         if count > 0:
             return k
     return None
-
-
-@dataclass(frozen=True)
-class ClassHistogram:
-    """Family counts for a batch of size-10 SBG codes, plus any strays."""
-
-    counts: dict[str, int]
-    matched: dict[int, MotifSet]
-    unmatched: list[int]
-
-
-def classify_solutions(solutions: list[int]) -> ClassHistogram:
-    """Match each code against the named SBG families (I, II, III, IV)."""
-    by_mask = {m.members: m for m in motif_class_sets()}
-    counts: dict[str, int] = {}
-    matched: dict[int, MotifSet] = {}
-    unmatched: list[int] = []
-    for mask in solutions:
-        motif = by_mask.get(mask)
-        if motif is None:
-            unmatched.append(mask)
-        else:
-            matched[mask] = motif
-            counts[motif.family] = counts.get(motif.family, 0) + 1
-    return ClassHistogram(counts, matched, unmatched)

@@ -23,9 +23,9 @@ of its own, sharing no code with the solver's search engine in solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, Sequence
+from itertools import count
+from typing import Iterable, NamedTuple, Sequence
 
 from .encode import (
     LinearConstraint,
@@ -128,13 +128,12 @@ def negation_of(c: LinearConstraint) -> LinearConstraint:
 # -- proof steps ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProofStep:
+class ProofStep(NamedTuple):
     kind: str  # "header" | "load" | "rup" | "polish" | "contradiction"
     line_no: int
-    index: int = 0  # load: formula constraint number; contradiction: claimed id
-    constraint: LinearConstraint | None = None  # rup payload
-    tokens: tuple[tuple[str, object], ...] = ()  # polish payload: typed RPN ops
+    # load: formula constraint number; rup: the constraint; polish: the typed
+    # RPN ops; contradiction: the claimed id; header: None
+    arg: object = None
 
 
 def _parse_polish(tokens: Sequence[str], line_no: int) -> tuple[tuple[str, object], ...]:
@@ -212,12 +211,12 @@ def parse_proof(text: str) -> list[ProofStep]:
                 parsed = parse_constraint_tokens(tokens[:-1], line_no)
             except OpbError as exc:
                 raise ProofParseError(line_no, f"bad 'u' constraint: {exc.message}") from None
-            steps.append(ProofStep("rup", line_no, constraint=parsed[0]))
+            steps.append(ProofStep("rup", line_no, parsed[0]))
         elif directive == "l":
             index = _proof_int(rest, line_no) if _is_digits(rest) else 0
             if index < 1:
                 raise ProofParseError(line_no, f"'l' expects a 1-based index, got {rest!r}")
-            steps.append(ProofStep("load", line_no, index=index))
+            steps.append(ProofStep("load", line_no, index))
         elif directive == "p":
             tokens = rest.split()
             if not tokens or tokens[-1] != "0":
@@ -226,7 +225,7 @@ def parse_proof(text: str) -> list[ProofStep]:
                 ops = _parse_polish(tokens[:-1], line_no)
             except _TooLong as exc:
                 raise ProofParseError(line_no, str(exc)) from None
-            steps.append(ProofStep("polish", line_no, tokens=ops))
+            steps.append(ProofStep("polish", line_no, ops))
         elif directive == "c":
             parts = rest.split()
             if len(parts) != 2 or parts[1] != "0" or not _is_digits(parts[0]):
@@ -234,7 +233,7 @@ def parse_proof(text: str) -> list[ProofStep]:
             index = _proof_int(parts[0], line_no)
             if index < 1:
                 raise ProofParseError(line_no, f"'c' expects a 1-based id, got {parts[0]!r}")
-            steps.append(ProofStep("contradiction", line_no, index=index))
+            steps.append(ProofStep("contradiction", line_no, index))
         elif directive in _UNSUPPORTED:
             raise ProofParseError(
                 line_no, f"unsupported rule {directive!r} (outside the verified subset)"
@@ -366,42 +365,29 @@ class RupChecker:
 # -- verification --------------------------------------------------------------
 
 
-@dataclass
-class ConstraintDb:
-    """Derived constraints under sequential ids starting at 1."""
-
-    constraints: dict[int, LinearConstraint] = field(default_factory=dict)
-    next_id: int = 1
-
-    def store(self, c: LinearConstraint) -> int:
-        cid = self.next_id
-        self.constraints[cid] = c
-        self.next_id += 1
-        return cid
-
-    def fetch(self, cid: int, line_no: int) -> LinearConstraint:
-        c = self.constraints.get(cid)
-        if c is None:
-            raise VerifyError(line_no, "reference", f"constraint id {cid} is not assigned")
-        return c
-
-
-@dataclass(frozen=True)
-class Verification:
-    """Successful verification: the claimed contradiction and the final db."""
+class Verification(NamedTuple):
+    """Successful verification: the claimed contradiction, the number of
+    steps checked, and every stored constraint by id."""
 
     contradiction_id: int
     steps_checked: int
-    db: ConstraintDb
+    constraints: dict[int, LinearConstraint]
+
+
+def _fetch(constraints: dict[int, LinearConstraint], cid: int, line_no: int) -> LinearConstraint:
+    c = constraints.get(cid)
+    if c is None:
+        raise VerifyError(line_no, "reference", f"constraint id {cid} is not assigned")
+    return c
 
 
 def _replay_polish(
-    ops: Sequence[tuple[str, object]], db: ConstraintDb, line_no: int
+    ops: Sequence[tuple[str, object]], constraints: dict[int, LinearConstraint], line_no: int
 ) -> LinearConstraint:
     stack: list[LinearConstraint] = []
     for op, arg in ops:
         if op == "id":
-            stack.append(db.fetch(arg, line_no))
+            stack.append(_fetch(constraints, arg, line_no))
         elif op == "lit":
             stack.append(axiom_literal(arg))
         elif op == "+":
@@ -426,51 +412,43 @@ def verify(f: PBFormula, steps: Iterable[ProofStep]) -> Verification:
     final claim succeeds only when the referenced constraint normalizes to
     ``0 >= d`` with d >= 1.
     """
-    db = ConstraintDb()
+    constraints: dict[int, LinearConstraint] = {}
+    ids = count(1)
     rup = RupChecker()
     contradiction: int | None = None
     checked = 0
     last_line = 0
 
     def store(c: LinearConstraint) -> None:
-        db.store(c)
+        constraints[next(ids)] = c
         rup.store(c)
 
-    for step in steps:
+    for kind, line_no, arg in steps:
         checked += 1
-        last_line = step.line_no
-        if step.kind == "header":
+        last_line = line_no
+        if kind == "header":
             continue
-        if step.kind == "load":
-            if not 1 <= step.index <= len(f.constraints):
+        if kind == "load":
+            if not 1 <= arg <= len(f.constraints):
                 raise VerifyError(
-                    step.line_no,
-                    "l",
-                    f"input constraint {step.index} out of range 1..{len(f.constraints)}",
+                    line_no, "l", f"input constraint {arg} out of range 1..{len(f.constraints)}"
                 )
-            store(f.constraints[step.index - 1])
-        elif step.kind == "rup":
-            assert step.constraint is not None
-            if not rup.refutes(negation_of(step.constraint)):
+            store(f.constraints[arg - 1])
+        elif kind == "rup":
+            if not rup.refutes(negation_of(arg)):
                 raise VerifyError(
-                    step.line_no,
-                    "u",
-                    f"propagation does not refute the negation of '{step.constraint}'",
+                    line_no, "u", f"propagation does not refute the negation of '{arg}'"
                 )
-            store(step.constraint)
-        elif step.kind == "polish":
-            store(_replay_polish(step.tokens, db, step.line_no))
-        elif step.kind == "contradiction":
-            c = db.fetch(step.index, step.line_no)
+            store(arg)
+        elif kind == "polish":
+            store(_replay_polish(arg, constraints, line_no))
+        elif kind == "contradiction":
+            c = _fetch(constraints, arg, line_no)
             if not c.contradiction:
-                raise VerifyError(
-                    step.line_no,
-                    "c",
-                    f"constraint {step.index} is '{c}', not a contradiction",
-                )
-            contradiction = step.index
+                raise VerifyError(line_no, "c", f"constraint {arg} is '{c}', not a contradiction")
+            contradiction = arg
         else:  # pragma: no cover - parse_proof never emits other kinds
-            raise VerifyError(step.line_no, step.kind, "unknown step kind")
+            raise VerifyError(line_no, kind, "unknown step kind")
     if contradiction is None:
         raise VerifyError(last_line or 1, "c", "proof ends without a contradiction claim")
-    return Verification(contradiction, checked, db)
+    return Verification(contradiction, checked, constraints)

@@ -25,8 +25,8 @@ from sbgkit.encode import (
 )
 from sbgkit.fixtures import EXAMPLE_UNSAT_OPB, EXAMPLE_UNSAT_PROOF
 from sbgkit.graph import build_sbg, mask_of, parse_edge_list, write_edge_list
-from sbgkit.ics import color_table, is_ics
-from sbgkit.oracle import classify_solutions, count_ics, min_ics_size
+from sbgkit.ics import classify_solutions, color_table, is_ics
+from sbgkit.oracle import count_ics, min_ics_size
 from sbgkit.proof import VerifyError, add, divide, multiply, parse_proof, saturate, verify
 from sbgkit.solve import SolveLimitReached, enumerate_all, solve
 
@@ -174,7 +174,7 @@ def test_criterion_7_proof_verification():
     f = parse_opb(EXAMPLE_UNSAT_OPB)
     outcome = verify(f, parse_proof(EXAMPLE_UNSAT_PROOF))
     assert outcome.contradiction_id == 14
-    assert outcome.db.constraints[14] == LinearConstraint((), 1)  # 0 >= 1
+    assert outcome.constraints[14] == LinearConstraint((), 1)  # 0 >= 1
     for name, old, new, expected_line in MUTATIONS:
         mutated = EXAMPLE_UNSAT_PROOF.replace(old, new)
         assert mutated != EXAMPLE_UNSAT_PROOF, name

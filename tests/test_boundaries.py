@@ -67,9 +67,7 @@ def _class(name, cls):
 
 
 def test_the_oracle_imports_nothing_from_solver_encoder_or_verifier():
-    modules = _modules("oracle.py")
-    assert modules, "oracle.py imports graph and ics"
-    assert not modules & {"solve", "encode", "proof"}
+    assert _modules("oracle.py") == {"graph"}
 
 
 def test_the_verifier_imports_only_from_encode():

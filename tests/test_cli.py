@@ -1,5 +1,6 @@
 import json
 import random
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,7 +12,7 @@ from sbgkit.fixtures import EXAMPLE_UNSAT_OPB, EXAMPLE_UNSAT_PROOF, example_grap
 from sbgkit.graph import write_edge_list
 from sbgkit.ics import motif_class_sets
 from sbgkit.proof import VerifyError
-from sbgkit.solve import SolveLimitReached, SolveStats, solve
+from sbgkit.solve import SolveLimitReached, SolveStats, enumerate_all, solve
 
 
 @pytest.fixture()
@@ -110,6 +111,41 @@ def test_enumerate_projection_flag(tmp_path, capsys):
     assert "c 1 solutions" in capsys.readouterr().out
 
 
+def test_enumerate_projects_onto_node_names(tmp_path, capsys):
+    # on the path a-b-c-d every code of size <= 4 holds b and c; projected
+    # onto the end nodes by name, the codes give the three (a, d) patterns
+    gpath = tmp_path / "path.txt"
+    gpath.write_text("a\nb\nc\nd\na b\nb c\nc d\n")
+    opb = tmp_path / "path.opb"
+    assert main(["encode", "--graph", str(gpath), "--budget", "4", "--out", str(opb)]) == 0
+    capsys.readouterr()
+    by_index = tmp_path / "by_index.jsonl"
+    assert main(["enumerate", str(opb), "--project", "x1,x4", "--solutions", str(by_index)]) == 0
+    shown = capsys.readouterr().out.replace(str(by_index), "PATH")
+    by_name = tmp_path / "by_name.jsonl"
+    assert main(["enumerate", str(opb), "--project", "a, d", "--solutions", str(by_name)]) == 0
+    assert capsys.readouterr().out.replace(str(by_name), "PATH") == shown
+    assert shown.splitlines()[0] == "c 3 solutions"
+    assert [json.loads(line) for line in by_name.read_text().splitlines()] == [
+        {"a": 1, "d": 1}, {"a": 1, "d": 0}, {"a": 0, "d": 1},
+    ]
+
+
+@pytest.mark.parametrize("command,layer,fn", [
+    ("solve", "solve", solve),
+    ("enumerate", "enumerate_all", enumerate_all),
+])
+def test_node_limit_exits_3(sbg_file, tmp_path, monkeypatch, capsys, command, layer, fn):
+    opb = tmp_path / "sbg9.opb"
+    assert main(["encode", "--graph", str(sbg_file), "--budget", "9", "--out", str(opb)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(f"sbgkit.cli.{layer}", partial(fn, node_limit=1))
+    assert main([command, str(opb)]) == 3
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["s UNKNOWN (node limit 1 reached (inconclusive))"]
+    assert err == ""
+
+
 def test_verify_exit_codes(tmp_path):
     opb = tmp_path / "ex.opb"
     proof = tmp_path / "ex.pbp"
@@ -161,6 +197,18 @@ def test_oracle_classify_requires_sbg(tmp_path, capsys, monkeypatch):
     assert calls == []
     assert out == ""
     assert len(err.splitlines()) == 1
+
+
+def test_oracle_classifies_the_sbg_codes_of_size_10(sbg_file, capsys):
+    assert main(["oracle", "--graph", str(sbg_file), "--k", "10", "--classify"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "c 26 identifying codes of size 10",
+        "class I: 1",
+        "class II: 10",
+        "class III: 10",
+        "class IV: 5",
+        "unmatched: 0",
+    ]
 
 
 def test_missing_graph_file_is_reported(capsys):

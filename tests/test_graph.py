@@ -7,7 +7,6 @@ from sbgkit.graph import (
     EdgeListError,
     Graph,
     GraphError,
-    SbgLabel,
     bits,
     mask_of,
     parse_edge_list,
@@ -90,16 +89,6 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(0, 1), (1, 0)])
     with pytest.raises(GraphError, match="out of range"):
         Graph(3, [(0, 5)])
-
-
-def test_sbg_label_invariants():
-    assert str(SbgLabel("H", 3, 2)) == "H3_2"
-    with pytest.raises(GraphError):
-        SbgLabel("P", 2, 1)  # pentagons never sit on layer 2
-    with pytest.raises(GraphError):
-        SbgLabel("H", 6, 1)
-    with pytest.raises(GraphError):
-        SbgLabel("P", 1, 3)
 
 
 # -- neighborhoods -------------------------------------------------------------

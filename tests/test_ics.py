@@ -7,6 +7,8 @@ from sbgkit.fixtures import example_graph
 from sbgkit.graph import Graph, bits, mask_of, sbg_node
 from sbgkit.ics import (
     _mirror_permutation,
+    _rotation_permutation,
+    classify_solutions,
     color_table,
     is_ics,
     motif_class_sets,
@@ -128,6 +130,41 @@ def test_motif_family_shape():
     assert tally == {"I": 1, "II": 10, "III": 10, "IV": 5}
 
 
+# (family, variant, shift, members) of the 26 codes, in catalogue order
+PINNED_MOTIFS = [
+    ("I", "", 0, 2080374846),
+    ("II", "A", 1, 554114561),
+    ("II", "A", 2, 1108227137),
+    ("II", "A", 3, 71065793),
+    ("II", "A", 4, 140099969),
+    ("II", "A", 5, 278104833),
+    ("II", "B", 1, 2183950402),
+    ("II", "B", 2, 2198223904),
+    ("II", "B", 3, 2172885520),
+    ("II", "B", 4, 2161232136),
+    ("II", "B", 5, 2155405444),
+    ("III", "A", 1, 1896003585),
+    ("III", "A", 2, 1711568897),
+    ("III", "A", 3, 1277751297),
+    ("III", "A", 4, 475064321),
+    ("III", "A", 5, 948033537),
+    ("III", "B", 1, 2149458022),
+    ("III", "B", 2, 2148471858),
+    ("III", "B", 3, 2148993592),
+    ("III", "B", 4, 2149286172),
+    ("III", "B", 5, 2149400718),
+    ("IV", "", 1, 1665140108),
+    ("IV", "", 2, 1184891736),
+    ("IV", "", 3, 224396976),
+    ("IV", "", 4, 448791906),
+    ("IV", "", 5, 832570054),
+]
+
+
+def test_motif_catalogue_is_pinned():
+    assert [(m.family, m.variant, m.shift, m.members) for m in motif_class_sets()] == PINNED_MOTIFS
+
+
 def test_every_motif_is_an_identifying_code(sbg):
     for m in motif_class_sets():
         assert is_ics(sbg, m.members), m.tag
@@ -154,6 +191,14 @@ def test_mirror_is_an_automorphism(sbg):
     assert all(perm[perm[v]] == v for v in range(32))
     edge_set = {frozenset(e) for e in sbg.edges}
     assert {frozenset((perm[u], perm[v])) for u, v in sbg.edges} == edge_set
+    # the rotation j -> j + 1 is one too, of order 5
+    rot = _rotation_permutation()
+    assert sorted(rot) == list(range(32))
+    assert {frozenset((rot[u], rot[v])) for u, v in sbg.edges} == edge_set
+    power = list(range(32))
+    for order in range(1, 6):
+        power = [rot[v] for v in power]
+        assert (power == list(range(32))) == (order == 5)
 
 
 def test_class_two_seepage_table(sbg):
@@ -202,3 +247,24 @@ def test_class_two_seepage_table(sbg):
     }
     values = list(table.values())
     assert all(values) and len(set(values)) == 32
+
+
+def test_classify_empty():
+    hist = classify_solutions([])
+    assert hist.counts == {}
+    assert hist.unmatched == []
+
+
+def test_classify_flags_strays(sbg):
+    stray = mask_of(range(10))
+    hist = classify_solutions([stray])
+    assert hist.unmatched == [stray]
+    assert hist.counts == {}
+
+
+def test_classify_motif_members():
+    motifs = motif_class_sets()
+    hist = classify_solutions([m.members for m in motifs])
+    assert hist.counts == {"I": 1, "II": 10, "III": 10, "IV": 5}
+    assert hist.unmatched == []
+    assert hist.matched[motifs[0].members].family == "I"

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import operator
 import random
 import tracemalloc
@@ -13,7 +14,7 @@ from sbgkit import oracle
 from sbgkit.encode import encode_ics
 from sbgkit.fixtures import example_graph
 from sbgkit.graph import Graph, bits, mask_of
-from sbgkit.ics import is_ics, motif_class_sets
+from sbgkit.ics import is_ics
 from sbgkit.oracle import (
     OracleError,
     _colex_blocks,
@@ -21,7 +22,6 @@ from sbgkit.oracle import (
     _leaves,
     _level,
     _prefilters,
-    classify_solutions,
     count_ics,
     min_ics_size,
 )
@@ -219,6 +219,19 @@ def test_count_rejects_bad_k(sbg):
         count_ics(sbg, -1)
 
 
+@pytest.mark.parametrize("n", [33, 40, 64])
+def test_count_matches_definition_on_uint64_graphs(n):
+    # 33 to 64 nodes take the uint64 masks; near k = n the brute force is
+    # cheap, and a sparse graph makes some of those subsets fail
+    assert oracle._mask_dtype(n) is np.uint64
+    g = random_graph(random.Random(n), n, p=0.08)
+    for k in range(n - 2, n + 1):
+        count, sols = count_ics(g, k, collect=True)
+        expected, hits = brute_count(g, k)
+        assert count == expected and sorted(sols) == sorted(hits), k
+    assert 0 < count_ics(g, n - 2)[0] < math.comb(n, 2)
+
+
 def test_count_rejects_oversized_graphs():
     with pytest.raises(OracleError):
         count_ics(Graph(65, []), 1)
@@ -290,24 +303,3 @@ def test_min_size_none_when_cap_too_small():
     floor = min_ics_size(g, g.n)
     assert floor is not None
     assert min_ics_size(g, floor - 1) is None
-
-
-def test_classify_empty():
-    hist = classify_solutions([])
-    assert hist.counts == {}
-    assert hist.unmatched == []
-
-
-def test_classify_flags_strays(sbg):
-    stray = mask_of(range(10))
-    hist = classify_solutions([stray])
-    assert hist.unmatched == [stray]
-    assert hist.counts == {}
-
-
-def test_classify_motif_members():
-    motifs = motif_class_sets()
-    hist = classify_solutions([m.members for m in motifs])
-    assert hist.counts == {"I": 1, "II": 10, "III": 10, "IV": 5}
-    assert hist.unmatched == []
-    assert hist.matched[motifs[0].members].family == "I"

@@ -163,10 +163,10 @@ def test_parse_fixture_steps():
     assert kinds == (
         ["header", "rup"] + ["load"] * 7 + ["polish"] * 6 + ["contradiction"]
     )
-    assert steps[9].tokens == (
+    assert steps[9].arg == (
         ("id", 8), ("id", 4), ("lit", neg(3)), ("+", None), ("d", 2), ("+", None)
     )
-    assert steps[-1].index == 14
+    assert steps[-1].arg == 14
 
 
 def test_parse_requires_header():
@@ -219,13 +219,13 @@ def example():
 def test_verify_fixture(example):
     outcome = verify(example, parse_proof(EXAMPLE_UNSAT_PROOF))
     assert outcome.contradiction_id == 14
-    final = outcome.db.constraints[14]
+    final = outcome.constraints[14]
     assert final == LinearConstraint((), 1)
     # id numbering: the opening rup line is 1, loads are 2..8
-    assert outcome.db.constraints[2] == example.constraints[0]
-    assert outcome.db.constraints[8] == example.constraints[6]
-    assert outcome.db.constraints[9] == LinearConstraint(((1, neg(2)), (1, neg(3))), 2)
-    assert outcome.db.constraints[10] == LinearConstraint(((1, neg(2)),), 1)
+    assert outcome.constraints[2] == example.constraints[0]
+    assert outcome.constraints[8] == example.constraints[6]
+    assert outcome.constraints[9] == LinearConstraint(((1, neg(2)), (1, neg(3))), 2)
+    assert outcome.constraints[10] == LinearConstraint(((1, neg(2)),), 1)
 
 
 def test_verify_requires_contradiction_claim(example):
@@ -273,6 +273,30 @@ def test_verify_rejects_mutations(example, name, old, new, line, fragment):
     assert fragment in str(err.value)
 
 
+def test_verify_stores_a_saturated_derivation(example):
+    # p 3 x4 + s 0: (x2 + 2 x3 + 3 x4 >= 3) + (x4 >= 0) has 4 x4, capped at 3
+    text = EXAMPLE_UNSAT_PROOF.replace("c 14 0", "p 3 x4 + s 0\nc 14 0")
+    outcome = verify(example, parse_proof(text))
+    assert outcome.contradiction_id == 14
+    summed = add(example.constraints[1], axiom_literal(pos(4)))
+    assert outcome.constraints[15] == saturate(summed) != summed
+    assert dict((lit, coef) for coef, lit in outcome.constraints[15].terms)[pos(4)] == 3
+
+
+def test_parse_rejects_saturation_of_an_empty_stack():
+    with pytest.raises(ProofParseError, match="'s' with empty stack") as err:
+        parse_proof("pseudo-Boolean proof version 1.0\nl 1\np s 0\n")
+    assert err.value.line_no == 3
+
+
+def test_verify_rejects_multiplication_by_zero(example):
+    # 0 * C is trivially sound, but the rule allows only positive multipliers
+    with pytest.raises(VerifyError, match="multiplier must be positive, got 0") as err:
+        verify(example, parse_proof("pseudo-Boolean proof version 1.0\nl 1\np 1 0 * 0\n"))
+    assert err.value.line_no == 3
+    assert err.value.rule == "*"
+
+
 def test_verified_fixture_is_actually_unsat(example):
     # independent spot check: the verified formula has no models at all
     for values in itertools.product((0, 1), repeat=example.num_vars):
@@ -282,14 +306,25 @@ def test_verified_fixture_is_actually_unsat(example):
 # -- the incremental RUP checker ---------------------------------------------------
 
 
-def _agreement_with_root_fixpoint(seed, ids_for):
-    # random store / u sequences over variables ids_for(rng, n); every
-    # verdict against root_fixpoint, which sees the same ids as the checker
+def random_clause(rng, n_vars, max_terms=3):
+    variables = rng.sample(range(1, n_vars + 1), rng.randint(1, min(max_terms, n_vars)))
+    return LinearConstraint(tuple((1, Literal(v, rng.random() < 0.5)) for v in variables), 1)
+
+
+def _mixed(rng, n):
+    return random_constraint(rng, n, max_terms=4)
+
+
+def _agreement_with_root_fixpoint(
+    seed, ids_for, draw=_mixed, sizes=(1, 7), lengths=(1, 8), p_store=0.4
+):
+    # random store / u sequences of draw(rng, n) over variables ids_for(rng, n);
+    # every verdict against root_fixpoint, which sees the same ids as the checker
     rng = random.Random(seed)
     verdicts = {True: 0, False: 0}
     root_conflicts = 0
     for _ in range(1500):
-        n = rng.randint(1, 7)
+        n = rng.randint(*sizes)
         ids = ids_for(rng, n)
 
         def mapped(c):
@@ -298,9 +333,9 @@ def _agreement_with_root_fixpoint(seed, ids_for):
 
         checker = RupChecker()
         stored = []
-        for _ in range(rng.randint(1, 8)):
-            c = mapped(random_constraint(rng, n, max_terms=4))
-            if rng.random() < 0.4:
+        for _ in range(rng.randint(*lengths)):
+            c = mapped(draw(rng, n))
+            if rng.random() < p_store:
                 checker.store(c)
                 stored.append(c)
                 continue
@@ -329,6 +364,36 @@ def test_rup_checker_agrees_on_sparse_huge_variable_ids():
     )
     assert min(verdicts.values()) > 1000, verdicts
     assert root_conflicts > 50, root_conflicts
+
+
+def test_rup_checker_agrees_with_fresh_propagation_on_clauses():
+    # longer sequences of short clauses over few variables: a checker that
+    # misreads which literals a false negated literal makes true withholds
+    # forced literals here, which the mixed sequences above almost never show
+    verdicts, root_conflicts = _agreement_with_root_fixpoint(
+        9, lambda rng, n: range(1, n + 1), draw=random_clause,
+        sizes=(3, 6), lengths=(4, 16), p_store=0.7,
+    )
+    assert min(verdicts.values()) > 1000, verdicts
+    assert root_conflicts > 300, root_conflicts
+
+
+def test_rup_through_a_false_negated_literal():
+    # ~x1 makes x1 false at the root; assuming x3, ~x3 + ~x2 makes x2 false
+    # and x1 + ~x3 + x2 then has no true literal left
+    clauses = [
+        LinearConstraint(((1, neg(3)), (1, neg(1))), 1),
+        LinearConstraint(((1, pos(1)), (1, neg(3)), (1, pos(2))), 1),
+        LinearConstraint(((1, pos(1)), (1, pos(3)), (1, pos(2))), 1),
+        LinearConstraint(((1, neg(3)), (1, neg(2))), 1),
+        LinearConstraint(((1, neg(1)),), 1),
+    ]
+    checker = RupChecker()
+    for c in clauses:
+        checker.store(c)
+    negation = negation_of(LinearConstraint(((1, neg(3)),), 1))
+    assert root_fixpoint(clauses + [negation]) is None
+    assert checker.refutes(negation)
 
 
 def test_refutes_leaves_the_checker_as_it_was():
@@ -374,7 +439,7 @@ def test_rup_after_root_conflict_is_accepted(example):
     # once the stored constraints conflict, any u step is accepted, as a
     # fresh propagation over the same constraints accepts it
     outcome = verify(example, parse_proof(LATE_RUP_PROOF))
-    constraints = outcome.db.constraints
+    constraints = outcome.constraints
     assert len(constraints) == 16
     for cid in (15, 16):
         earlier = [constraints[i] for i in range(1, cid)]
@@ -387,7 +452,7 @@ def test_rup_and_polish_beyond_formula_variables(example):
     wide_rup = "u +1 x1 +1 x2 +1 x3 +1 x12 >= 1 ;\n"
     refutation = "l 5\nl 6\nl 7\np 4 5 + 6 + 0\nc 7 0\n"
     outcome = verify(example, parse_proof(head + wide_rup + refutation))
-    assert [outcome.db.constraints[i].max_var() for i in (2, 3)] == [9, 12]
+    assert [outcome.constraints[i].max_var() for i in (2, 3)] == [9, 12]
     with pytest.raises(VerifyError) as err:
         verify(example, parse_proof(head + "u +1 x9 >= 1 ;\n"))
     assert err.value.line_no == 4
@@ -409,7 +474,7 @@ def test_rup_on_a_huge_variable_id_costs_two_bits(example):
     finally:
         tracemalloc.stop()
     assert outcome.contradiction_id == 6
-    assert outcome.db.constraints[2].max_var() == 4_000_000_000
+    assert outcome.constraints[2].max_var() == 4_000_000_000
     assert peak < 1 << 20, peak
 
 
