@@ -1,34 +1,40 @@
 """Exhaustive ground truth for identifying code counts, independent of the
 solver and of the PB encoding.
 
-Every k-subset of the nodes is enumerated in colexicographic order as a
-bitmask; a subset qualifies when all per-node signatures ``N+(v) & subset``
-are nonempty and pairwise distinct.  The scan is vectorized with numpy, with
-a sound prefilter (the 64 smallest of the closed neighborhoods and the
-distinguishing sets must all be hit) discarding almost all candidates before
-the exact check, which tests the whole definition.
+The k-subsets of the nodes are enumerated as bitmasks, in colexicographic
+order of their scan positions; a subset qualifies when all per-node
+signatures ``N+(v) & subset`` are nonempty and pairwise distinct.  The scan
+is vectorized with numpy, with a sound prefilter (the 64 smallest of the
+closed neighborhoods and the distinguishing sets must all be hit) discarding
+almost all candidates before the exact check, which tests the whole
+definition.
 
 Each node has a 64-bit hit word whose bit i says the node lies in filter i,
 so a subset meets every filter exactly when the OR of its nodes' hit words is
 all ones: one compare per subset for all (at most 64) filters.
 
-The level is cut into leaves of at most ``_CHUNK`` subsets, each the
-r-subsets of some range(m) plus a fixed prefix: the k-subsets of the largest
-range(t) that fits form one leaf, and the rest is split on its top element.
-The masks and hit words of the r-subsets are built once per r, and every
-leaf of size r reads a prefix of that cached level.  Memory is therefore
-bounded by ``_CHUNK``: at most one cached level per leaf size, each at most
-``_CHUNK`` masks plus as many hit words, and the exact check's n-column
-signature matrix over one leaf's survivors.  On the 32-node soccer ball
-graph at k=10 the scan reads 768 leaves; the five cached levels below k
-hold 516,305 subsets, the level of size k 92,378 while its one leaf is read,
-and the whole scan peaks at about 7 MiB of numpy allocations (tracemalloc);
+The nodes are scanned in an order taken from the filters: the nodes of the
+smallest filters take the highest positions.  The level is cut into leaves
+of at most ``_CHUNK`` subsets, each the r-subsets of some range(m) plus a
+fixed prefix: the k-subsets of the largest range(t) that fits form one leaf,
+and the rest is split on its top element.  A leaf whose prefix and range
+together miss a filter holds no code and is skipped whole.  The masks and
+hit words of the r-subsets are built once per r, and every leaf of size r
+reads a prefix of that cached level.  Memory is therefore bounded by
+``_CHUNK``: at most one cached level per leaf size, each at most ``_CHUNK``
+masks plus as many hit words, and the exact check's n-column signature
+matrix over one leaf's survivors.  On the 32-node soccer ball graph at k=10
+the scan reads 565 leaves and 44,361,866 of the 64,512,240 subsets; the
+four cached levels it reads, of sizes 5 to 8, hold 423,927 subsets, and the
+whole scan peaks at about 6 MiB of numpy allocations (tracemalloc), where
 the C(32, 10) level held whole would be 246 MiB of masks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -71,31 +77,45 @@ def _level(words: np.ndarray, k: int) -> np.ndarray:
 
 
 def _leaves(
-    n: int, k: int, hw: list[int], prefix: int = 0, prefix_hit: int = 0
+    n: int, k: int, seq: list[int], hw: list[int], reach: list[int], full: int,
+    prefix: int = 0, prefix_hit: int = 0,
 ):
-    """The k-subsets of range(n), OR'd with *prefix*, in colex order, as
-    leaves ``(m, r, prefix, prefix_hit)``: the at most _CHUNK r-subsets of
-    range(m), each OR'd with *prefix*, whose hit words *prefix_hit* joins.
+    """The k-subsets of positions range(n), OR'd with *prefix*, in colex
+    order, as leaves ``(m, r, prefix, prefix_hit)``: the at most _CHUNK
+    r-subsets of range(m), each OR'd with *prefix*, whose hit words
+    *prefix_hit* joins.  Position j scans node ``seq[j]`` with hit word
+    ``hw[j]``; *prefix* is a node mask, in the caller's labels.
+
+    A range whose hit words, all of them together with *prefix_hit*, still
+    miss a filter holds no subset that meets them all, so it yields
+    nothing: ``reach[m]`` is the OR of ``hw[:m]``.
 
     A level too large for one leaf first yields the k-subsets of range(t)
     whole, for the largest t whose level fits.  The k-subsets with maximum
     element top are the (k-1)-subsets of range(top) plus top, so the rest
     is split on the tops t..n-1 until each part fits.
     """
+    if reach[n] | prefix_hit != full:
+        return
     if math.comb(n, k) <= _CHUNK:
         yield n, k, prefix, prefix_hit
         return
     t = k
     while math.comb(t + 1, k) <= _CHUNK:
         t += 1
-    yield t, k, prefix, prefix_hit
+    if reach[t] | prefix_hit == full:
+        yield t, k, prefix, prefix_hit
     for top in range(t, n):
-        yield from _leaves(top, k - 1, hw, prefix | 1 << top, prefix_hit | hw[top])
+        yield from _leaves(
+            top, k - 1, seq, hw, reach, full,
+            prefix | 1 << seq[top], prefix_hit | hw[top],
+        )
 
 
-def _colex_blocks(n: int, k: int, hw: list[int], dtype):
-    """Per leaf of ``_leaves(n, k, hw)``: ``(masks, hits, prefix,
-    prefix_hit)``, with the masks and hit words of its r-subsets of range(m).
+def _colex_blocks(k: int, seq: list[int], hw: list[int], full: int, dtype):
+    """Per leaf of ``_leaves(len(seq), k, ...)``: ``(masks, hits, prefix,
+    prefix_hit)``, with the node masks and hit words of its r-subsets of
+    positions range(m).
 
     Both are prefixes of one level per r, built over range(M_r) for the
     largest M_r <= n - k + r (a leaf of size r lies below k - r distinct top
@@ -103,10 +123,12 @@ def _colex_blocks(n: int, k: int, hw: list[int], dtype):
     range(m) come first among those of range(M_r).  One leaf alone has size
     k, so its level is dropped once that leaf is read.
     """
-    units = np.array([1 << j for j in range(n)], dtype=dtype)
+    n = len(seq)
+    units = np.array([1 << j for j in seq], dtype=dtype)
     words = np.array(hw, dtype=np.uint64)
+    reach = list(itertools.accumulate(hw, operator.or_, initial=0))
     levels = {}
-    for m, r, prefix, prefix_hit in _leaves(n, k, hw):
+    for m, r, prefix, prefix_hit in _leaves(n, k, seq, hw, reach, full):
         if r not in levels:
             top = n - k + r
             while math.comb(top, r) > _CHUNK:
@@ -146,6 +168,15 @@ def _hit_words(filters: list[int], n: int) -> list[int]:
     return hw
 
 
+def _scan_order(n: int, filters: list[int]) -> list[int]:
+    """Nodes in scan order: those in no filter first, then the nodes of the
+    filters, smallest filter first, reversed, so that the nodes of the
+    smallest filters take the highest positions.  A leaf below such a node
+    whose prefix misses its filter then holds no code, and is skipped."""
+    collected = dict.fromkeys(j for f in filters for j in bits(f))
+    return [j for j in range(n) if j not in collected] + list(collected)[::-1]
+
+
 def count_ics(
     g: Graph, k: int, collect: bool = False
 ) -> tuple[int, list[int] | None]:
@@ -171,12 +202,14 @@ def count_ics(
     filters = _prefilters(g)
     if any(m == 0 for m in filters):
         return 0, solutions
+    seq = _scan_order(n, filters)
     hw = _hit_words(filters, n)
-    full = np.uint64((1 << len(filters)) - 1)
+    full = (1 << len(filters)) - 1
 
+    blocks = _colex_blocks(k, seq, [hw[j] for j in seq], full, dtype)
     total = 0
-    for masks, hits, prefix, prefix_hit in _colex_blocks(n, k, hw, dtype):
-        cand = masks[(hits | np.uint64(prefix_hit)) == full] | dtype(prefix)
+    for masks, hits, prefix, prefix_hit in blocks:
+        cand = masks[(hits | np.uint64(prefix_hit)) == np.uint64(full)] | dtype(prefix)
         sig = cand[:, None] & nb[None, :]
         sig.sort(axis=1)
         # nonempty and pairwise distinct, whatever the prefilter held
@@ -184,6 +217,8 @@ def count_ics(
         total += int(good.sum())
         if solutions is not None:
             solutions.extend(cand[good].tolist())
+    if solutions is not None:
+        solutions.sort()  # colex order is increasing mask order
     return total, solutions
 
 

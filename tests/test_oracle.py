@@ -22,6 +22,7 @@ from sbgkit.oracle import (
     _leaves,
     _level,
     _prefilters,
+    _scan_order,
     count_ics,
     min_ics_size,
 )
@@ -58,30 +59,90 @@ def test_count_full_subset():
 
 def test_level_masks_are_all_subsets_in_colex_order(monkeypatch):
     # at the default _CHUNK no level of n <= 12 is split; the small chunks
-    # make the leaves recurse on their top element and share cached levels
+    # make the leaves recurse on their top element and share cached levels.
+    # With no filters nothing can be pruned, so every subset is scanned
     rng = random.Random(18)
     for chunk in (oracle._CHUNK, 1, 3, 17):
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
         for n in range(13):
-            hw = [rng.getrandbits(64) for _ in range(n)]
+            seq = rng.sample(range(n), n)
             units = np.array([1 << j for j in range(n)], dtype=np.uint32)
             for k in range(n + 1):
                 subsets = sorted(
                     itertools.combinations(range(n), k), key=lambda c: c[::-1]
                 )
-                colex = [mask_of(c) for c in subsets]
-                assert _level(units, k).tolist() == colex
-                blocks = list(_colex_blocks(n, k, hw, np.uint32))
+                assert _level(units, k).tolist() == [mask_of(c) for c in subsets]
+                blocks = list(_colex_blocks(k, seq, [0] * n, 0, np.uint32))
                 assert all(len(masks) <= chunk for masks, *_ in blocks)
                 assert [
                     int(m) | prefix for masks, _, prefix, _ in blocks for m in masks
-                ] == colex
-                assert [
-                    int(h) | prefix_hit
-                    for _, hits, _, prefix_hit in blocks
-                    for h in hits
-                ] == [functools.reduce(operator.or_, (hw[j] for j in c), 0)
-                      for c in subsets]
+                ] == [mask_of(seq[j] for j in c) for c in subsets]
+
+
+def test_leaves_hold_every_subset_that_meets_every_filter(monkeypatch):
+    # random hit words over a few filters: the scan holds each subset whose
+    # words OR to full once, in colex order of the scan positions, with its
+    # true hit word; every subset it skips misses some filter, and every
+    # leaf of nonempty subsets it reads could meet them all
+    rng = random.Random(22)
+    skipped = 0
+    for chunk in (oracle._CHUNK, 1, 3, 17):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        for n in range(13):
+            seq = rng.sample(range(n), n)
+            width = rng.randint(1, 5)
+            full = (1 << width) - 1
+            hw = [rng.getrandbits(width) & rng.getrandbits(width) for _ in range(n)]
+            for k in range(n + 1):
+                subsets = sorted(
+                    itertools.combinations(range(n), k), key=lambda c: c[::-1]
+                )
+                rank = {mask_of(seq[j] for j in c): i for i, c in enumerate(subsets)}
+                hit = [functools.reduce(operator.or_, (hw[j] for j in c), 0)
+                       for c in subsets]
+                blocks = list(_colex_blocks(k, seq, hw, full, np.uint32))
+                assert all(len(masks) <= chunk for masks, *_ in blocks)
+                # no leaf is read whose subsets together miss a filter
+                assert all(
+                    int(np.bitwise_or.reduce(hits)) | prefix_hit == full
+                    for masks, hits, _, prefix_hit in blocks
+                    if masks[0]
+                )
+                scanned = [
+                    (rank[int(m) | prefix], int(h) | prefix_hit)
+                    for masks, hits, prefix, prefix_hit in blocks
+                    for m, h in zip(masks, hits)
+                ]
+                order = [i for i, _ in scanned]
+                assert order == sorted(set(order))
+                assert all(hit[i] == h for i, h in scanned)
+                left_out = set(range(len(subsets))) - set(order)
+                assert all(hit[i] != full for i in left_out)
+                skipped += len(left_out)
+    assert skipped > 10_000, skipped
+
+
+def _relabelled(mask, perm):
+    return mask_of(perm[j] for j in bits(mask))
+
+
+def test_count_is_invariant_under_relabelling(sbg):
+    # the scan order follows the filters, so a relabelled graph is scanned
+    # in another order; its codes are the relabelled ones, in mask order
+    rng = random.Random(23)
+    cases = [(sbg, 10)] * 2
+    while len(cases) < 40:
+        g = random_graph(rng, rng.randint(1, 10), p=rng.uniform(0.1, 0.9))
+        cases.append((g, rng.randint(0, g.n)))
+    counts = []
+    for g, k in cases:
+        perm = rng.sample(range(g.n), g.n)
+        h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        count, sols = count_ics(g, k, collect=True)
+        relabelled = count_ics(h, k, collect=True)
+        assert relabelled == (count, sorted(_relabelled(m, perm) for m in sols))
+        counts.append(count)
+    assert counts[:2] == [26, 26] and 0 in counts and max(counts[2:]) > 0
 
 
 def test_small_chunk_changes_no_count(monkeypatch):
@@ -170,20 +231,27 @@ def test_the_exact_step_decides_alone(monkeypatch):
 
 
 def test_sbg_scan_work_is_pinned(sbg):
-    # leaves scanned and prefilter survivors at k = 8, 9, 10: leaves that
-    # split again or a weaker filter fail here, not only in a timing
+    # leaves, subsets scanned and prefilter survivors at k = 8, 9, 10:
+    # leaves that split again, a weaker prune or a weaker filter fail here,
+    # not only in a timing
     filters = _prefilters(sbg)
-    hw = _hit_words(filters, sbg.n)
-    full = np.uint64((1 << len(filters)) - 1)
+    seq = _scan_order(sbg.n, filters)
+    hw = [_hit_words(filters, sbg.n)[j] for j in seq]
+    reach = list(itertools.accumulate(hw, operator.or_, initial=0))
+    full = (1 << len(filters)) - 1
     work = {}
     for k in (8, 9, 10):
-        leaves = sum(1 for _ in _leaves(sbg.n, k, hw))
-        survivors = sum(
-            int(((hits | np.uint64(prefix_hit)) == full).sum())
-            for _, hits, _, prefix_hit in _colex_blocks(sbg.n, k, hw, np.uint32)
-        )
-        work[k] = leaves, survivors
-    assert work == {8: (152, 0), 9: (371, 86), 10: (768, 3817)}
+        leaves = sum(1 for _ in _leaves(sbg.n, k, seq, hw, reach, full))
+        scanned = survivors = 0
+        for _, hits, _, prefix_hit in _colex_blocks(k, seq, hw, full, np.uint32):
+            scanned += len(hits)
+            survivors += int(((hits | np.uint64(prefix_hit)) == np.uint64(full)).sum())
+        work[k] = leaves, scanned, survivors
+    assert work == {
+        8: (105, 6_623_565, 0),
+        9: (266, 18_180_314, 86),
+        10: (565, 44_361_866, 3817),
+    }
 
 
 def test_count_builds_no_level_it_never_reads():

@@ -342,7 +342,10 @@ def _agreement_with_root_fixpoint(
             negation = negation_of(c)
             verdict = checker.refutes(negation)
             assert verdict == (root_fixpoint(stored + [negation]) is None), (stored, c)
-            verdicts[verdict] += 1
+            # once the stored constraints conflict, refutes answers True
+            # without propagating, so only the checks before that count
+            if root_fixpoint(stored) is not None:
+                verdicts[verdict] += 1
             if verdict:
                 checker.store(c)
                 stored.append(c)
