@@ -1,8 +1,9 @@
 """Command-line front end: sbgkit <subcommand>.
 
 Exit codes: 0 success (for `verify`: proof accepted), 1 failed check,
-rejected proof or unreadable file, 2 malformed input, 3 solver resource
-limit.  Every error is reported as one line on stderr.
+rejected proof, unreadable file or, for `oracle` and `reproduce`, no numpy,
+2 malformed input, 3 solver resource limit.  Every error is reported as one
+line on stderr.
 """
 
 from __future__ import annotations
@@ -327,6 +328,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_FAIL
     except (SolveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        # only the oracle needs numpy, and it imports it on its first call
+        print(f"error: sbgkit {args.command} needs numpy, which is not installed",
+              file=sys.stderr)
         return EXIT_FAIL
 
 

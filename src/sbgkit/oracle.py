@@ -9,6 +9,10 @@ closed neighborhoods and the distinguishing sets must all be hit) discarding
 almost all candidates before the exact check, which tests the whole
 definition.
 
+numpy is imported inside the functions that use it, so importing sbgkit
+loads no numpy and the solver and proof routes run without it; the first
+``count_ics`` call in a process pays the import (about 0.1 s).
+
 Each node has a 64-bit hit word whose bit i says the node lies in filter i,
 so a subset meets every filter exactly when the OR of its nodes' hit words is
 all ones: one compare per subset for all (at most 64) filters.
@@ -36,8 +40,6 @@ import itertools
 import math
 import operator
 
-import numpy as np
-
 from .graph import Graph, bits
 
 _CHUNK = 1 << 17
@@ -49,6 +51,8 @@ class OracleError(ValueError):
 
 
 def _mask_dtype(n: int):
+    import numpy as np
+
     if n <= 32:
         return np.uint32
     if n <= 64:
@@ -56,15 +60,17 @@ def _mask_dtype(n: int):
     raise OracleError(f"bitmask oracle supports at most 64 nodes, got {n}")
 
 
-def _level(words: np.ndarray, k: int) -> np.ndarray:
+def _level(words, k: int):
     """The OR of ``words[j]`` over each k-subset of range(len(words)), in
     colex order.  With ``words[j] = 1 << j`` these are the subset masks.
 
     Built level by level: the k-subsets with maximum element j are exactly
     the (k-1)-subsets of range(j), which in colex order are a prefix of the
     previous level.  Level i is built only over range(n - k + i), the part
-    the later levels read.
+    the later levels read.  *words* is a numpy array, and so is the result.
     """
+    import numpy as np
+
     n = len(words)
     cur = np.zeros(1, dtype=words.dtype)
     for level in range(1, k + 1):
@@ -123,6 +129,8 @@ def _colex_blocks(k: int, seq: list[int], hw: list[int], full: int, dtype):
     range(m) come first among those of range(M_r).  One leaf alone has size
     k, so its level is dropped once that leaf is read.
     """
+    import numpy as np
+
     n = len(seq)
     units = np.array([1 << j for j in seq], dtype=dtype)
     words = np.array(hw, dtype=np.uint64)
@@ -188,6 +196,9 @@ def count_ics(
     n = g.n
     if not 0 <= k <= n:
         raise OracleError(f"k must be in 0..{n}, got {k}")
+
+    import numpy as np
+
     dtype = _mask_dtype(max(n, 1))
     nb = np.array([g.closed_neighborhood(v) for v in range(n)], dtype=dtype)
     solutions: list[int] | None = [] if collect else None

@@ -16,15 +16,19 @@ more of its variables may become true: unsatisfied clauses of plain literals
 over those variables with pairwise disjoint free literals each need one of
 them, so more such clauses than slack is a conflict.  The clauses are picked
 greedily, fewest free literals first.  This is the standard lower bound of
-hitting-set search.  When exactly slack clauses are picked, they use up the
-slack, so every other free variable of the at-most constraint is fixed false
-in one trail entry (the "limit lower bound" of covering search); propagation
-and the bound then run again until a conflict or nothing new is fixed.  The
-two cut the SBG budget-9 refutation from 21,755 decisions to 300.  Each
-bound conflict and each fixing is one cutting-planes sum, the at-most
-constraint plus the packed clauses, from which propagation derives the
-conflict or the fixed literals.  A formula without at-most constraints never
-runs it.
+hitting-set search.  Only inclusion-minimal clauses are packed: whenever a
+clause containing another is open, so is the other, which sorts no later
+and shares its free literals, so leaving the larger one out changes neither
+the number of picks nor the literals they use; on the SBG it cuts the 272
+packable clauses to 152.  When exactly slack clauses are picked, they use
+up the slack, so every other free variable of the at-most constraint is
+fixed false in one trail entry (the "limit lower bound" of covering search);
+propagation and the bound then run again until a conflict or nothing new is
+fixed.  The two cut the SBG budget-9 refutation from 21,755 decisions to
+300.  Each bound conflict and each fixing is one cutting-planes sum, the
+at-most constraint plus the packed clauses, from which propagation derives
+the conflict or the fixed literals.  A formula without at-most constraints
+never runs it.
 
 Branching picks an unsatisfied constraint with the fewest unassigned
 literals and, within it, the literal whose variable appears in the most
@@ -125,7 +129,8 @@ class _Search:
         self.sat_by = [0] * (2 * num_vars)  # the constraints a literal satisfies alone
         self.clauses = 0  # the clauses with coefficients 1, which at-most constraints pack
         self.at_most: list[tuple[int, int]] = []  # (index, plain literals of its variables)
-        self.packable: list[int] = []  # per at-most constraint: the clauses over its variables
+        # per at-most constraint: the inclusion-minimal clauses over its variables
+        self.packable: list[int] = []
         # Constraints attached with slack below their largest coefficient,
         # such as a blocking clause at a model: an undo can leave them
         # forcing or falsified without any of their literals falling.
@@ -147,13 +152,15 @@ class _Search:
             if coef >= c.degree:
                 satisfying |= 1 << l
                 self.sat_by[l] |= bit
+        self.lits.append(lits)
+        self.mask.append(mask)
         if satisfying == mask:
             self.cons.append((1, [(1, mask)]))
             if c.degree == 1 and by_coef.keys() == {1}:
                 self.clauses |= bit
                 for i, (_, plain) in enumerate(self.at_most):
                     if not mask & ~plain:
-                        self.packable[i] |= bit
+                        self.packable[i] = self._minimal(self.packable[i], ci, plain)
         else:
             self.cons.append((c.degree, sorted(by_coef.items(), reverse=True)))
             self.summed.append(ci)
@@ -164,12 +171,11 @@ class _Search:
                 while rest:
                     low = rest & -rest
                     rest ^= low
-                    if not self.mask[low.bit_length() - 1] & ~plain:
-                        packable |= low
+                    cj = low.bit_length() - 1
+                    if not self.mask[cj] & ~plain:
+                        packable = self._minimal(packable, cj, plain)
                 self.at_most.append((ci, plain))
                 self.packable.append(packable)
-        self.lits.append(lits)
-        self.mask.append(mask)
         # sat follows from the assignment, also in the trail's snapshots
         trail = self.trail
         for i, (made, false, assigned, sat) in enumerate(trail):
@@ -179,6 +185,33 @@ class _Search:
             self.sat |= bit
         if self._tight(ci):
             self.recheck.append(ci)
+
+    def _minimal(self, kept: int, ci: int, plain: int) -> int:
+        """The clauses *kept*, inclusion-minimal and over the literals
+        *plain*, with clause *ci* added so that they stay so.
+
+        *ci* is left out when a kept clause lies inside it (of equal
+        clauses the one added first stays), else the kept clauses that
+        contain it are dropped.  A clause B containing a clause A never
+        changes the packing: B unsatisfied means A unsatisfied, A sorts no
+        later than B, and B meets A's free literals.
+        """
+        mask, occ = self.mask[ci], self.occ
+        outside = 0  # the constraints with a literal of *plain* outside ci
+        rest = plain & ~mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            outside |= occ[low.bit_length() - 1]
+        if kept & ~outside:
+            return kept
+        containing = kept
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            containing &= occ[low.bit_length() - 1]
+        return kept & ~containing | 1 << ci
 
     def value(self, v: int) -> int:
         """1 or 0 for an assigned variable, -1 for a free one."""

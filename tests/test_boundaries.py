@@ -4,6 +4,8 @@ The oracle must share nothing with the solver or the verifier, and the
 verifier, RUP checker included, takes only the data model and OPB parsing
 from encode.py, so that a bug in the solver's search engine cannot make two
 routes agree wrongly.  The solver in turn uses nothing of the verifier.
+Only the oracle names numpy, and only inside its functions, so the solver
+and the verifier run without it.
 """
 
 import ast
@@ -103,3 +105,46 @@ def test_the_solver_imports_nothing_from_the_verifier():
 def test_only_solve_names_the_search_engine():
     users = sorted(p.name for p in SRC.glob("*.py") if "_Search" in _names(_tree(p.name)))
     assert users == ["solve.py"]
+
+
+def _numpy_mentions(tree):
+    """The nodes of *tree* that import numpy or name ``numpy`` or ``np``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        elif isinstance(node, ast.Name):
+            modules = [node.id]
+        elif isinstance(node, ast.Attribute):
+            modules = [node.attr]
+        else:
+            continue
+        if any(m in ("numpy", "np") or m.startswith("numpy.") for m in modules):
+            out.append(node)
+    return out
+
+
+def _outside_function_bodies(tree):
+    """The numpy mentions of *tree* that do not lie in a function body."""
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside.update(id(sub) for stmt in node.body for sub in ast.walk(stmt))
+    return [node for node in _numpy_mentions(tree) if id(node) not in inside]
+
+
+def test_only_the_oracle_names_numpy_and_only_inside_functions():
+    # importing sbgkit loads no numpy: the solver and proof routes run
+    # without it, and the oracle imports it on its first call
+    users = sorted(p.name for p in SRC.glob("*.py") if _numpy_mentions(_tree(p.name)))
+    assert users == ["oracle.py"]
+    assert not _outside_function_bodies(_tree("oracle.py"))
+    for injected in (
+        "import numpy as np\n",
+        "from numpy import uint64\n",
+        "def f(words: np.ndarray):\n    pass\n",
+        "_ONE = np.uint64(1)\n",
+    ):
+        assert _outside_function_bodies(_tree("oracle.py", injected)), injected

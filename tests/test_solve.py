@@ -21,6 +21,7 @@ from sbgkit.proof import RupChecker, add
 from sbgkit.solve import (
     SolveLimitReached,
     _Search,
+    _search_for,
     enumerate_all,
     root_fixpoint,
     solve,
@@ -566,3 +567,62 @@ def test_a_decision_that_uses_up_the_slack_fixes_the_rest_false():
     # the fixing propagates; the bound then finds nothing more
     assert not eng._refuted()
     assert eng.stats.bound_fixings == 1 and eng.stats.bound_conflicts == 0
+
+
+def _clauses_over(eng, plain):
+    """The indices of the engine's packable-kind clauses whose literals lie in *plain*."""
+    return [
+        ci for ci in range(len(eng.cons))
+        if eng.clauses >> ci & 1 and not eng.mask[ci] & ~plain
+    ]
+
+
+def test_the_bound_packs_only_inclusion_minimal_clauses():
+    # a clause is kept unless another clause over the variables lies inside
+    # it; of equal clauses the lowest index is kept, whichever was attached
+    # first, the at-most constraint or the clauses
+    def check(f):
+        eng = _search_for(f)
+        for (_, plain), packable in zip(eng.at_most, eng.packable):
+            over = _clauses_over(eng, plain)
+            minimal = [
+                ci for ci in over
+                if not any(
+                    not eng.mask[cj] & ~eng.mask[ci] and (eng.mask[cj] != eng.mask[ci] or cj < ci)
+                    for cj in over if cj != ci
+                )
+            ]
+            assert packable == sum(1 << ci for ci in minimal)
+        return eng
+
+    rng = random.Random(5)
+    for _ in range(300):
+        check(hitting_set_formula(rng, rng.randint(4, 12)))
+    f9 = encode_ics(build_sbg(), 9)
+    for f in (f9, PBFormula(f9.num_vars, f9.constraints[::-1])):  # at-most last, then first
+        eng = check(f)
+        (_, plain), = eng.at_most
+        assert len(_clauses_over(eng, plain)) == 272 and eng.packable[0].bit_count() == 152
+
+
+class _PacksEveryClause(_Search):
+    """The engine with every clause over an at-most constraint's variables packable."""
+
+    def _minimal(self, kept, ci, plain):
+        return kept | 1 << ci
+
+
+def test_packing_only_minimal_clauses_changes_no_search(monkeypatch):
+    # a clause containing another is never picked by the greedy packing, so
+    # leaving it out keeps every count and every model
+    rng = random.Random(5)
+    formulas = [hitting_set_formula(rng, rng.randint(4, 12)) for _ in range(300)]
+    formulas += [encode_ics(build_sbg(), 9), encode_ics(build_sbg(), 10)]
+
+    def run():
+        return [(solve(f).stats, [a.values for a in enumerate_all(f)]) for f in formulas]
+
+    minimal = run()
+    monkeypatch.setattr(importlib.import_module("sbgkit.solve"), "_Search", _PacksEveryClause)
+    assert run() == minimal
+    assert sum(stats.bound_fixings + stats.bound_conflicts for stats, _ in minimal) > 800
