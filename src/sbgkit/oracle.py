@@ -3,19 +3,32 @@ solver and of the PB encoding.
 
 The k-subsets of the nodes are enumerated as bitmasks, in colexicographic
 order of their scan positions; a subset qualifies when all per-node
-signatures ``N+(v) & subset`` are nonempty and pairwise distinct.  The scan
-is vectorized with numpy, with a sound prefilter (the 64 smallest of the
-closed neighborhoods and the distinguishing sets must all be hit) discarding
-almost all candidates before the exact check, which tests the whole
-definition.
+signatures ``N+(v) & subset`` are nonempty and pairwise distinct.  The work
+is vectorized with numpy and has two stages of sound filters before the
+exact check, which tests the whole definition:
+
+1. The scan keeps the subsets that hit the 64 smallest of the sets every
+   code must hit (the closed neighborhoods and the distinguishing sets of
+   pairs within distance two).
+2. The survivors, gathered across leaves in batches of at most ``_CHUNK``,
+   are tested against the rest of that pool, 64 sets per word, and each
+   word drops the batch's misses before the next one runs.
+
+On a twin-free graph a dominating set that separates every pair within
+distance two separates all pairs, whose closed neighborhoods are otherwise
+disjoint, so only codes reach the exact check; it still runs on every
+survivor, and no count rests on that argument.
 
 numpy is imported inside the functions that use it, so importing sbgkit
 loads no numpy and the solver and proof routes run without it; the first
 ``count_ics`` call in a process pays the import (about 0.1 s).
 
-Each node has a 64-bit hit word whose bit i says the node lies in filter i,
-so a subset meets every filter exactly when the OR of its nodes' hit words is
-all ones: one compare per subset for all (at most 64) filters.
+Each node has a 64-bit hit word per 64 sets whose bit i says the node lies
+in set i, so a subset meets every set of a word exactly when the OR of its
+nodes' hit words is all ones: one compare per subset for 64 sets.  The scan
+ORs its word level by level.  The later words are ORed by byte: per
+byte b of a node mask, a table of 256 entries gives the OR of the hit words
+of the nodes of that byte, so a word costs one lookup per byte.
 
 The nodes are scanned in an order taken from the filters: the nodes of the
 smallest filters take the highest positions.  The level is cut into leaves
@@ -26,12 +39,15 @@ together miss a filter holds no code and is skipped whole.  The masks and
 hit words of the r-subsets are built once per r, and every leaf of size r
 reads a prefix of that cached level.  Memory is therefore bounded by
 ``_CHUNK``: at most one cached level per leaf size, each at most ``_CHUNK``
-masks plus as many hit words, and the exact check's n-column signature
-matrix over one leaf's survivors.  On the 32-node soccer ball graph at k=10
-the scan reads 565 leaves and 44,361,866 of the 64,512,240 subsets; the
-four cached levels it reads, of sizes 5 to 8, hold 423,927 subsets, and the
-whole scan peaks at about 6 MiB of numpy allocations (tracemalloc), where
-the C(32, 10) level held whole would be 246 MiB of masks.
+masks plus as many hit words; one batch of at most ``_CHUNK`` survivors with
+one 64-bit hit word each; and the exact check's n-column signature matrix
+over the batch's final survivors.  On the 32-node soccer ball graph at k=10
+the scan reads 565 leaves and 44,361,866 of the 64,512,240 subsets, 3,817
+of them survive the scan and exactly the 26 codes survive the later words;
+the four cached levels it reads, of sizes 5 to 8, hold 423,927 subsets, and
+the scans at k=8, 9 and 10 peak at about 6 MiB of numpy allocations
+(tracemalloc), where the C(32, 10) level held whole would be 246 MiB of
+masks.
 """
 
 from __future__ import annotations
@@ -147,15 +163,17 @@ def _colex_blocks(k: int, seq: list[int], hw: list[int], full: int, dtype):
         yield masks[:c], hits[:c], prefix, prefix_hit
 
 
-def _prefilters(g: Graph) -> list[int]:
-    """The _PREFILTER_CAP smallest node sets every dominating identifying
-    code must intersect.
+def _must_hit_sets(g: Graph) -> list[int]:
+    """Every node set that every dominating identifying code must intersect,
+    smallest first.
 
     The pool is the closed neighborhoods (domination) and the distinguishing
     sets of pairs within distance two; smaller sets cut more candidates.  An
-    empty distinguishing set (twins) means no code of any size works, and
-    it sorts first.  Any neighborhood may fall outside the cap, so the exact
-    check in ``count_ics`` tests domination itself.
+    empty distinguishing set (twins) means no code of any size works; it
+    sorts first, no node's hit word holds its bit, and the scan reads no
+    leaf.  The scan tests the first _PREFILTER_CAP sets and
+    ``_meet_rest`` the others; whatever the pool holds, the exact check in
+    ``count_ics`` tests the whole definition.
     """
     nb = [g.closed_neighborhood(v) for v in range(g.n)]
     pool = list(nb)
@@ -163,17 +181,59 @@ def _prefilters(g: Graph) -> list[int]:
         reach = g.closed_two_neighborhood(u)
         pool.extend(nb[u] ^ nb[v] for v in bits(reach >> (u + 1) << (u + 1)))
     pool.sort(key=int.bit_count)
-    return pool[:_PREFILTER_CAP]
+    return pool
 
 
 def _hit_words(filters: list[int], n: int) -> list[int]:
     """Bit i of word j is set when node j is in filter i, so a subset meets
-    every filter exactly when the OR of its nodes' words is all ones."""
-    hw = [0] * n
-    for i, f in enumerate(filters):
-        for j in bits(f):
-            hw[j] |= 1 << i
-    return hw
+    every filter exactly when the OR of its nodes' words is all ones.  At
+    most 64 filters, each a node mask of at most 64 nodes."""
+    import numpy as np
+
+    member = np.array(filters, dtype=np.uint64)[:, None] >> np.arange(
+        n, dtype=np.uint64
+    ) & np.uint64(1)
+    shift = np.arange(len(filters), dtype=np.uint64)[:, None]
+    return np.bitwise_or.reduce(member << shift, axis=0).tolist()
+
+
+def _byte_tables(sets: list[int], n: int):
+    """*sets* in words of 64, as ``(tables, fulls)``: ``tables[w][b][octet]``
+    is the OR of word w's hit words of the nodes 8b + t for the bits t set in
+    *octet*, so the OR of a node mask's hit words is the OR of one entry per
+    byte of the mask, and ``fulls[w]`` is word w's all-ones value.
+
+    Each table doubles once per node of its byte: the entries whose bit t is
+    set are the earlier ones OR'd with node 8b + t's hit word.
+    """
+    import numpy as np
+
+    groups = [sets[i : i + 64] for i in range(0, len(sets), 64)]
+    size = -(-n // 8)
+    cols = np.zeros((len(groups), size * 8), dtype=np.uint64)
+    cols[:, :n] = np.array(
+        [_hit_words(group, n) for group in groups], dtype=np.uint64
+    ).reshape(len(groups), n)
+    cols = cols.reshape(len(groups), size, 8)
+    tables = np.zeros((len(groups), size, 1), dtype=np.uint64)
+    for t in range(8):
+        tables = np.concatenate([tables, tables | cols[:, :, t, None]], axis=2)
+    return tables, [np.uint64((1 << len(group)) - 1) for group in groups]
+
+
+def _meet_rest(cand, tables, fulls):
+    """The masks in *cand* whose nodes meet every set of each word of
+    ``_byte_tables``: the OR of their entries is that word's *full*."""
+    import numpy as np
+
+    for table, full in zip(tables, fulls):
+        octets = cand.astype(f"<u{cand.itemsize}", copy=False).view(np.uint8)
+        octets = octets.reshape(len(cand), cand.itemsize)
+        hit = np.take(table[0], octets[:, 0])
+        for b in range(1, len(table)):
+            hit |= np.take(table[b], octets[:, b])
+        cand = cand[hit == full]
+    return cand
 
 
 def _scan_order(n: int, filters: list[int]) -> list[int]:
@@ -183,6 +243,41 @@ def _scan_order(n: int, filters: list[int]) -> list[int]:
     whose prefix misses its filter then holds no code, and is skipped."""
     collected = dict.fromkeys(j for f in filters for j in bits(f))
     return [j for j in range(n) if j not in collected] + list(collected)[::-1]
+
+
+def _survivors(g: Graph, k: int, dtype):
+    """The k-subsets of the nodes that meet every set of ``_must_hit_sets``,
+    as node masks in batches of at most _CHUNK, in colex order of their
+    scan positions.
+
+    The scan's hit word keeps the subsets that meet the first
+    _PREFILTER_CAP sets; they are gathered across leaves, and each batch is
+    tested against the rest of the pool, 64 sets per word.
+    """
+    import numpy as np
+
+    n = g.n
+    pool = _must_hit_sets(g)
+    filters, rest = pool[:_PREFILTER_CAP], pool[_PREFILTER_CAP:]
+    seq = _scan_order(n, filters)
+    hw = _hit_words(filters, n)
+    full = (1 << len(filters)) - 1
+    tables, fulls = _byte_tables(rest, n)
+
+    batch, size = [], 0
+    for masks, hits, prefix, prefix_hit in _colex_blocks(
+        k, seq, [hw[j] for j in seq], full, dtype
+    ):
+        cand = masks[(hits | np.uint64(prefix_hit)) == np.uint64(full)]
+        if not len(cand):
+            continue
+        if size + len(cand) > _CHUNK:
+            yield _meet_rest(np.concatenate(batch), tables, fulls)
+            batch, size = [], 0
+        batch.append(cand | dtype(prefix))
+        size += len(cand)
+    if batch:
+        yield _meet_rest(np.concatenate(batch), tables, fulls)
 
 
 def count_ics(
@@ -210,20 +305,11 @@ def count_ics(
             solutions.append(0)
         return count, solutions
 
-    filters = _prefilters(g)
-    if any(m == 0 for m in filters):
-        return 0, solutions
-    seq = _scan_order(n, filters)
-    hw = _hit_words(filters, n)
-    full = (1 << len(filters)) - 1
-
-    blocks = _colex_blocks(k, seq, [hw[j] for j in seq], full, dtype)
     total = 0
-    for masks, hits, prefix, prefix_hit in blocks:
-        cand = masks[(hits | np.uint64(prefix_hit)) == np.uint64(full)] | dtype(prefix)
+    for cand in _survivors(g, k, dtype):
         sig = cand[:, None] & nb[None, :]
         sig.sort(axis=1)
-        # nonempty and pairwise distinct, whatever the prefilter held
+        # nonempty and pairwise distinct, whatever the pool held
         good = (sig[:, 0] != 0) & (sig[:, 1:] != sig[:, :-1]).all(axis=1)
         total += int(good.sum())
         if solutions is not None:

@@ -21,8 +21,11 @@ from sbgkit.oracle import (
     _hit_words,
     _leaves,
     _level,
-    _prefilters,
+    _meet_rest,
+    _must_hit_sets,
     _scan_order,
+    _byte_tables,
+    _survivors,
     count_ics,
     min_ics_size,
 )
@@ -146,7 +149,9 @@ def test_count_is_invariant_under_relabelling(sbg):
 
 
 def test_small_chunk_changes_no_count(monkeypatch):
-    # split leaves of several sizes, each reading a prefix of its cached level
+    # split leaves of several sizes, each reading a prefix of its cached
+    # level, and survivors gathered across leaves in batches of at most chunk
+    batches = 0
     for chunk in (1, 2, 5, 17):
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
         rng = random.Random(17)
@@ -157,11 +162,15 @@ def test_small_chunk_changes_no_count(monkeypatch):
             count, sols = count_ics(g, k, collect=True)
             assert count == expected_count
             assert sols == sorted(expected)  # colex order is increasing mask order
+            sizes = [len(cand) for cand in _survivors(g, k, np.uint32)]
+            assert all(0 < size <= chunk for size in sizes)
+            batches += len(sizes)
+    assert batches > 100, batches
 
 
 def must_hit_pool(g):
     """The closed neighborhoods and the distinguishing sets of the pairs
-    within distance two, from which _prefilters picks."""
+    within distance two, which _must_hit_sets sorts."""
     return [g.closed_neighborhood(v) for v in range(g.n)] + [
         g.distinguishing_set(u, v)
         for u in range(g.n)
@@ -186,11 +195,13 @@ def test_prefilters_are_sound_and_the_hit_word_exact():
     rng = random.Random(19)
     for _ in range(30):
         g = random_graph(rng, rng.randint(1, 10), p=rng.uniform(0.1, 0.9))
-        filters = _prefilters(g)
+        pool = _must_hit_sets(g)
+        assert Counter(pool) == Counter(must_hit_pool(g))
+        filters = pool[: oracle._PREFILTER_CAP]
         assert_keeps_the_smallest(g, filters)
         for k in range(g.n + 1):
             for code in brute_count(g, k)[1]:
-                assert all(code & f for f in filters)
+                assert all(code & f for f in pool)
         hw = _hit_words(filters, g.n)
         full = (1 << len(filters)) - 1
         for sub in range(1 << g.n):
@@ -200,7 +211,10 @@ def test_prefilters_are_sound_and_the_hit_word_exact():
             assert (hit == full) == all(sub & f for f in filters)
     for n in (40, 64):  # more sets than the cap keeps
         g = random_graph(rng, n)
-        assert_keeps_the_smallest(g, _prefilters(g))
+        pool = _must_hit_sets(g)
+        assert Counter(pool) == Counter(must_hit_pool(g))
+        assert [f.bit_count() for f in pool] == sorted(f.bit_count() for f in pool)
+        assert_keeps_the_smallest(g, pool[: oracle._PREFILTER_CAP])
 
 
 def test_a_graph_with_twins_counts_zero_at_every_k():
@@ -212,16 +226,18 @@ def test_a_graph_with_twins_counts_zero_at_every_k():
         twin = Graph(
             g.n + 1, list(g.edges) + [(u, g.n) for u in bits(g.closed_neighborhood(v))]
         )
-        assert _prefilters(twin)[0] == 0  # the empty distinguishing set sorts first
+        assert _must_hit_sets(twin)[0] == 0  # the empty distinguishing set sorts first
         for k in range(twin.n + 1):
             assert count_ics(twin, k, collect=True) == (0, [])
             assert brute_count(twin, k)[0] == 0
 
 
 def test_the_exact_step_decides_alone(monkeypatch):
-    # with few filters, domination and distinctness rest on the exact check
+    # with the pool cut short, across the scan and the later words alike,
+    # domination and distinctness rest on the exact check
+    whole_pool = oracle._must_hit_sets
     for cap in (0, 1, 5, 64):
-        monkeypatch.setattr(oracle, "_PREFILTER_CAP", cap)
+        monkeypatch.setattr(oracle, "_must_hit_sets", lambda g: whole_pool(g)[:cap])
         rng = random.Random(20)
         for _ in range(60):
             g = random_graph(rng, rng.randint(1, 9), p=rng.uniform(0.1, 0.9))
@@ -230,28 +246,118 @@ def test_the_exact_step_decides_alone(monkeypatch):
             assert count_ics(g, k, collect=True) == (expected_count, sorted(expected))
 
 
-def test_sbg_scan_work_is_pinned(sbg):
-    # leaves, subsets scanned and prefilter survivors at k = 8, 9, 10:
-    # leaves that split again, a weaker prune or a weaker filter fail here,
-    # not only in a timing
-    filters = _prefilters(sbg)
-    seq = _scan_order(sbg.n, filters)
-    hw = [_hit_words(filters, sbg.n)[j] for j in seq]
+def twin_free_graph(rng, n, p):
+    while True:
+        g = random_graph(rng, n, p)
+        if len({g.closed_neighborhood(v) for v in range(n)}) == n:
+            return g
+
+
+@pytest.mark.parametrize("cap", [0, 5, 64])
+def test_the_whole_pool_leaves_only_codes(monkeypatch, cap):
+    # on a twin-free graph a dominating set that separates every pair within
+    # distance two is a code (farther pairs have disjoint neighborhoods), so
+    # the exact check rejects none of the final survivors; a small cap on
+    # the scan's sets leaves the rest of the pool to the later words
+    monkeypatch.setattr(oracle, "_PREFILTER_CAP", cap)
+    rng = random.Random(24)
+    for _ in range(40):
+        g = twin_free_graph(rng, rng.randint(1, 10), rng.uniform(0.1, 0.9))
+        for k in range(1, g.n + 1):
+            found = [int(m) for cand in _survivors(g, k, np.uint32) for m in cand]
+            assert sorted(found) == sorted(brute_count(g, k)[1])
+
+
+def word_or(tables, mask):
+    return functools.reduce(
+        operator.or_, (int(t[mask >> 8 * b & 255]) for b, t in enumerate(tables)), 0
+    )
+
+
+def assert_words_are_exact(sets, n, masks, dtype):
+    # each word's tables OR to the OR of the nodes' hit words, and a mask
+    # passes every word exactly when it meets every set
+    tables, fulls = _byte_tables(sets, n)
+    assert len(tables) == len(fulls) == -(-len(sets) // 64)
+    for i, table in enumerate(tables):
+        hw = _hit_words(sets[64 * i : 64 * i + 64], n)
+        assert int(fulls[i]) == (1 << len(sets[64 * i : 64 * i + 64])) - 1
+        for m in masks:
+            assert word_or(table, m) == functools.reduce(
+                operator.or_, (hw[j] for j in bits(m)), 0
+            )
+    passed = _meet_rest(np.array(masks, dtype=dtype), tables, fulls).tolist()
+    assert passed == [m for m in masks if all(m & f for f in sets)]
+    return len(passed)
+
+
+def test_byte_tables_are_exact_on_every_subset():
+    # sets drawn from the pool: no word, one word partly or wholly used, and
+    # several words of which the last is partly or wholly used
+    rng = random.Random(25)
+    for count in (0, 1, 63, 64, 65, 128, 150) * 6:
+        g = random_graph(rng, rng.randint(1, 10), p=rng.uniform(0.1, 0.9))
+        sets = rng.choices(must_hit_pool(g), k=count)
+        assert_words_are_exact(sets, g.n, list(range(1 << g.n)), np.uint32)
+
+
+@pytest.mark.parametrize("n", [33, 40, 64])
+def test_byte_tables_are_exact_on_uint64_masks(n):
+    # the later words of the real pool, over 5 to 8 byte tables; at n = 33
+    # the last byte holds one node
+    rng = random.Random(n)
+    g = random_graph(rng, n)
+    rest = _must_hit_sets(g)[oracle._PREFILTER_CAP :]
+    assert len(rest) > 64
+    masks = [
+        functools.reduce(operator.or_, (1 << j for j in range(n) if rng.random() < p), 0)
+        for p in (0.3, 0.7, 0.95, 1.0)
+        for _ in range(200)
+    ]
+    assert 0 < assert_words_are_exact(rest, n, masks, np.uint64) < len(masks)
+
+
+def scan_work(g, ks):
+    """Per k: leaves, subsets scanned, survivors of the scan's hit word, and
+    survivors of the later words."""
+    filters = _must_hit_sets(g)[: oracle._PREFILTER_CAP]
+    seq = _scan_order(g.n, filters)
+    hw = [_hit_words(filters, g.n)[j] for j in seq]
     reach = list(itertools.accumulate(hw, operator.or_, initial=0))
     full = (1 << len(filters)) - 1
     work = {}
-    for k in (8, 9, 10):
-        leaves = sum(1 for _ in _leaves(sbg.n, k, seq, hw, reach, full))
+    for k in ks:
+        leaves = sum(1 for _ in _leaves(g.n, k, seq, hw, reach, full))
         scanned = survivors = 0
         for _, hits, _, prefix_hit in _colex_blocks(k, seq, hw, full, np.uint32):
             scanned += len(hits)
             survivors += int(((hits | np.uint64(prefix_hit)) == np.uint64(full)).sum())
-        work[k] = leaves, scanned, survivors
-    assert work == {
-        8: (105, 6_623_565, 0),
-        9: (266, 18_180_314, 86),
-        10: (565, 44_361_866, 3817),
+        final = sum(len(cand) for cand in _survivors(g, k, np.uint32))
+        work[k] = leaves, scanned, survivors, final
+    return work
+
+
+def test_sbg_scan_work_is_pinned(sbg):
+    # leaves, subsets scanned and the survivors of both stages: leaves that
+    # split again, a weaker prune or a weaker stage fail here, not only in a
+    # timing; on the SBG the later words leave exactly the codes
+    assert scan_work(sbg, (8, 9, 10)) == {
+        8: (105, 6_623_565, 0, 0),
+        9: (266, 18_180_314, 86, 0),
+        10: (565, 44_361_866, 3817, 26),
     }
+
+
+def test_random_scan_work_is_pinned():
+    # a twin-free G(30, 0.22) like the benchmark's, with k* = 8 and 22 codes
+    g = twin_free_graph(random.Random(30), 30, 0.22)
+    assert min_ics_size(g, 8) == 8
+    assert scan_work(g, (7, 8, 9)) == {
+        7: (5, 391_300, 50, 0),
+        8: (20, 1_198_990, 2319, 22),
+        9: (53, 3_617_900, 47_519, 4350),
+    }
+    assert [count_ics(g, k)[0] for k in (8, 9)] == [22, 4350]
 
 
 def test_count_builds_no_level_it_never_reads():
@@ -361,6 +467,8 @@ def test_oracle_agrees_with_the_solver_where_the_bound_prunes():
 
 
 def test_min_size_trivia():
+    # the empty code identifies the empty graph, and only it
+    assert count_ics(Graph(0, []), 0, collect=True) == (1, [0])
     assert min_ics_size(Graph(1, []), 3) == 1
     assert min_ics_size(Graph(3, [(0, 1), (0, 2), (1, 2)]), 3) is None  # twins
     assert min_ics_size(example_graph(), 4) <= 4
