@@ -150,11 +150,20 @@ def test_count_is_invariant_under_relabelling(sbg):
 
 def test_small_chunk_changes_no_count(monkeypatch):
     # split leaves of several sizes, each reading a prefix of its cached
-    # level, and survivors gathered across leaves in batches of at most chunk
-    batches = 0
+    # level, and survivors gathered across leaves in batches of 1 to chunk
+    # masks before the later words, which may empty a batch
+    batches = []
+    meet_rest = oracle._meet_rest
+
+    def recorded(cand, tables, fulls):
+        batches.append(len(cand))
+        return meet_rest(cand, tables, fulls)
+
+    monkeypatch.setattr(oracle, "_meet_rest", recorded)
     for chunk in (1, 2, 5, 17):
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
         rng = random.Random(17)
+        start = len(batches)
         for _ in range(40):
             g = random_graph(rng, rng.randint(1, 9), p=rng.uniform(0.1, 0.9))
             k = rng.randint(0, g.n)
@@ -162,10 +171,9 @@ def test_small_chunk_changes_no_count(monkeypatch):
             count, sols = count_ics(g, k, collect=True)
             assert count == expected_count
             assert sols == sorted(expected)  # colex order is increasing mask order
-            sizes = [len(cand) for cand in _survivors(g, k, np.uint32)]
-            assert all(0 < size <= chunk for size in sizes)
-            batches += len(sizes)
-    assert batches > 100, batches
+            assert all(len(cand) <= chunk for cand in _survivors(g, k, np.uint32))
+        assert all(0 < size <= chunk for size in batches[start:])
+    assert len(batches) > 200, len(batches)
 
 
 def must_hit_pool(g):
@@ -258,14 +266,19 @@ def test_the_whole_pool_leaves_only_codes(monkeypatch, cap):
     # on a twin-free graph a dominating set that separates every pair within
     # distance two is a code (farther pairs have disjoint neighborhoods), so
     # the exact check rejects none of the final survivors; a small cap on
-    # the scan's sets leaves the rest of the pool to the later words
+    # the scan's sets leaves the rest of the pool to the later words, and a
+    # small chunk makes them filter many batches, each flushed in the loop
     monkeypatch.setattr(oracle, "_PREFILTER_CAP", cap)
     rng = random.Random(24)
+    cases = []
     for _ in range(40):
         g = twin_free_graph(rng, rng.randint(1, 10), rng.uniform(0.1, 0.9))
-        for k in range(1, g.n + 1):
+        cases += [(g, k, sorted(brute_count(g, k)[1])) for k in range(1, g.n + 1)]
+    for chunk in (oracle._CHUNK, 1, 5, 17):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        for g, k, codes in cases:
             found = [int(m) for cand in _survivors(g, k, np.uint32) for m in cand]
-            assert sorted(found) == sorted(brute_count(g, k)[1])
+            assert sorted(found) == codes
 
 
 def word_or(tables, mask):

@@ -16,10 +16,12 @@ the named functions (a nested function or method by its dotted name):
 - an integer constant plus 1.
 
 For each mutant ``pytest -x -q`` runs the given tests (by default all of
-tests/) with a time limit.  A mutant the tests fail on, or time out on, is
-killed.  One they pass is equivalent when EQUIVALENT lists it, with the
-reason no test can tell it from the original, and survived otherwise: a gap
-in the tests.  The exit code is 1 when a mutant survived, 2 when the
+tests/), for at most TIMEOUT seconds.  A mutant the tests fail on, or time
+out on, is killed.  One they pass is equivalent when EQUIVALENT lists it,
+with the reason no test can tell it from the original, and survived
+otherwise: a gap in the tests.  A site is shown as its statement, with
+``#i`` after it when the function holds i earlier sites that read
+the same.  The exit code is 1 when a mutant survived, 2 when the
 unmutated tests already fail.
 """
 
@@ -35,18 +37,20 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 300.0  # seconds per run of the tests
 
-# (module, function, original, mutant, reason), each site as printed: the
-# mutants no test can kill, because they behave as the original
+# (module, function, original, occurrence, mutant, reason), each site as
+# printed: the mutants no test can kill, because they behave as the original
 EQUIVALENT = [
-    ("src/sbgkit/oracle.py", "count_ics", "n == 0 or k == 0", "n == 0 and k == 0",
+    ("src/sbgkit/oracle.py", "count_ics", "n == 0 or k == 0", 0, "n == 0 and k == 0",
      "n = 0 forces k = 0, and at k = 0 < n the empty subset meets no closed "
      "neighborhood, so the scan and the exact check count 0 as the shortcut does"),
-    ("src/sbgkit/oracle.py", "count_ics", "dtype = _mask_dtype(max(n, 1))",
+    ("src/sbgkit/oracle.py", "count_ics", "dtype = _mask_dtype(max(n, 1))", 0,
      "dtype = _mask_dtype(max(n, 2))", "n <= 2 takes uint32 masks either way"),
-    ("src/sbgkit/oracle.py", "_survivors", "batch, size = ([], 0)", "batch, size = ([], 1)",
-     "the reset after a flush: later batches flush one survivor early and still "
-     "hold at most _CHUNK; the same change before the loop is killed"),
+    ("src/sbgkit/oracle.py", "_survivors", "batch, size = ([], 0)", 1, "batch, size = ([], 1)",
+     "the reset after a flush, whose leaf is appended next: size counts one "
+     "mask too many, so later batches flush one mask early, still hold 1 to "
+     "_CHUNK masks and lose none"),
 ]
 
 _SWAPS = {
@@ -114,10 +118,23 @@ def _site(func, node):
     return node
 
 
+def _occurrence(func, site) -> int:
+    """How many nodes of *func* before *site*, in source order, read as it
+    does, so that two identical statements are told apart."""
+    text = ast.unparse(site)
+    return sum(
+        1
+        for node in ast.walk(func)
+        if type(node) is type(site)
+        and (node.lineno, node.col_offset) < (site.lineno, site.col_offset)
+        and ast.unparse(node) == text
+    )
+
+
 def mutants(source: str, names: list[str]):
-    """``(function, original, mutated, module source)`` per mutant.  Each
-    mutant is made on a fresh parse, its node found again by its position
-    in ast.walk order of the function."""
+    """``(function, original, occurrence, mutated, module source)`` per
+    mutant.  Each mutant is made on a fresh parse, its node found again by
+    its position in ast.walk order of the function."""
     funcs = _functions(ast.parse(source))
     missing = [name for name in names if name not in funcs]
     if missing:
@@ -133,16 +150,17 @@ def mutants(source: str, names: list[str]):
                 target = list(ast.walk(func))[index]
                 site = _site(func, target)
                 original = ast.unparse(site)
+                occurrence = _occurrence(func, site)
                 _mutations(target)[nth]()
-                yield name, original, ast.unparse(site), ast.unparse(fresh)
+                yield name, original, occurrence, ast.unparse(site), ast.unparse(fresh)
 
 
-def run_tests(tree: Path, tests: list[str], timeout: float) -> str:
+def run_tests(tree: Path, tests: list[str]) -> str:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
-            cwd=tree, env=env, capture_output=True, timeout=timeout,
+            cwd=tree, env=env, capture_output=True, timeout=TIMEOUT,
         )
     except subprocess.TimeoutExpired:
         return "timeout"
@@ -155,7 +173,6 @@ def main(argv=None) -> int:
     ap.add_argument("module", help="path of the module, relative to the checkout")
     ap.add_argument("functions", nargs="+")
     ap.add_argument("--tests", nargs="+", default=["tests"])
-    ap.add_argument("--timeout", type=float, default=300.0)
     args = ap.parse_args(argv)
 
     workdir = args.workdir.resolve()
@@ -170,24 +187,25 @@ def main(argv=None) -> int:
     target = tree / args.module
     source = (ROOT / args.module).read_text()
 
-    if run_tests(tree, args.tests, args.timeout) != "pass":
+    if run_tests(tree, args.tests) != "pass":
         print("the unmutated tests do not pass", file=sys.stderr)
         return 2
-    equivalent = {entry[:4]: entry[4] for entry in EQUIVALENT}
+    equivalent = {entry[:5] for entry in EQUIVALENT}
     tally = Counter()
     try:
-        for name, original, mutated, text in mutants(source, args.functions):
+        for name, original, nth, mutated, text in mutants(source, args.functions):
             target.write_text(text)
-            outcome = run_tests(tree, args.tests, args.timeout)
+            outcome = run_tests(tree, args.tests)
             if outcome != "pass":
                 status = "killed"
-            elif (args.module, name, original, mutated) in equivalent:
+            elif (args.module, name, original, nth, mutated) in equivalent:
                 status = "equivalent"
             else:
                 status = "SURVIVED"
             tally[status] += 1
+            site = f"{original} #{nth}" if nth else original
             extra = " (timeout)" if outcome == "timeout" else ""
-            print(f"{status:10} {name}: {original}  ->  {mutated}{extra}", flush=True)
+            print(f"{status:10} {name}: {site}  ->  {mutated}{extra}", flush=True)
     finally:
         target.write_text(source)
     print(f"killed {tally['killed']}, survived {tally['SURVIVED']}, "
