@@ -9,6 +9,19 @@ Negative slack is a conflict; every unassigned literal whose coefficient
 exceeds the slack is forced true, all of them in one trail entry.  A trail
 entry keeps the assignment from before it, so an undo restores a snapshot.
 
+Clauses, the constraints that any one true literal satisfies, are not
+rescanned: each keeps its count of unassigned variables, bit-sliced over
+constraint masks (bit i of every clause's count in one int), which each
+assignment decrements and each trail entry snapshots.  A few mask operations
+then give the open clauses of the least count: count 0 is a conflict, and
+every clause of count 1 is a unit, all of them forced in one trail entry.
+The packing bound takes its clauses one count at a time from the same
+slices, and branching takes the lowest clause of the least count.  A clause
+attached mid-search, such as a blocking clause, gets its count in every
+snapshot on the trail as well.  The few summed constraints, the rest, are
+forced from their slack in every round of propagation, which ends when a
+round forces nothing, so an undo or an attachment needs no bookkeeping.
+
 When a decision or a flip propagates without a conflict, a packing bound
 may still refute the node; the root is not checked.  It applies to every at-most
 constraint, ``sum ~x >= degree`` with coefficients 1, whose slack is how many
@@ -105,42 +118,57 @@ class _Search:
     Literal ``2 * v + negated`` is bit ``2 * v + negated`` of a literal mask.
     The assignment is three ints: ``false`` holds the false literals,
     ``assigned`` both literals of each assigned variable, and ``sat`` the
-    constraints that one true literal satisfies alone.  A constraint is its
-    degree and ``[(coef, literal mask)]``, largest coefficient first; one
-    whose coefficients all reach its degree is kept as the clause
-    ``[(1, mask)]`` of degree 1.  Constraints are indexed in attachment
-    order, and bit ``ci`` of a constraint mask stands for constraint ``ci``.
-    A trail entry is the mask of the literals it made true plus the three
-    ints before it, so an undo restores a snapshot.
+    constraints that one true literal satisfies alone.  Constraints are
+    indexed in attachment order, and bit ``ci`` of a constraint mask stands
+    for constraint ``ci``.  A clause, a constraint whose coefficients all
+    reach its degree, is its literal mask alone; the others, the summed
+    constraints, also keep their degree and ``[(coef, literal mask)]``,
+    largest coefficient first, in ``summed``.
+
+    Each clause's count of unassigned variables is kept bit-sliced in
+    ``cnt``, a list of constraint masks: bit ``ci`` of ``cnt[i]`` is bit
+    ``i`` of clause ``ci``'s count, and there are as many slices as the
+    longest clause's length needs.  ``_make_true`` decrements the counts of
+    the clauses on each variable it assigns.  So ``_smallest`` finds the
+    open clauses of the least count with one mask operation per slice:
+    propagation reads conflicts (count 0) and units (count 1) from it, the
+    packing bound takes its clauses one count at a time, and branching
+    takes the lowest clause of the least count.  Summed constraints are
+    propagated one by one from their slack.
+
+    A trail entry is the mask of the literals it made true plus ``false``,
+    ``assigned``, ``sat`` and ``cnt`` from before it, so an undo restores a
+    snapshot.  A constraint attached mid-search patches every snapshot: its
+    ``sat`` bit where a true literal satisfies it, and a clause its count,
+    with a zero slice added to each when the clause is longer than the
+    slices can count.
     """
 
     def __init__(self, num_vars: int):
         self.num_vars = num_vars
-        self.even = sum(1 << 2 * v for v in range(num_vars))  # the plain literals
+        self.even = ((1 << 2 * num_vars) - 1) // 3  # the plain literals
         self.false = self.assigned = self.sat = 0
-        self.trail: list[tuple[int, int, int, int]] = []
-        self.head = 0  # trail entries before head have been propagated
+        self.cnt: list[int] = []  # the clauses' counts of unassigned variables, bit-sliced
+        self.trail: list[tuple[int, int, int, int, list[int]]] = []
         self.stats = SolveStats()
-        self.cons: list[tuple[int, list[tuple[int, int]]]] = []  # (degree, groups)
         self.lits: list[list[int]] = []  # literals in term order, for branching
         self.mask: list[int] = []  # the constraint's literals
-        self.summed: list[int] = []  # indices of the constraints that are not clauses
+        # the constraints that are not clauses, by index: (degree, groups)
+        self.summed: dict[int, tuple[int, list[tuple[int, int]]]] = {}
+        self.clause_form = 0  # the constraints that are clauses
         self.occ = [0] * (2 * num_vars)  # the constraints containing a literal
         self.sat_by = [0] * (2 * num_vars)  # the constraints a literal satisfies alone
+        self.on_var = [0] * num_vars  # the clauses containing a variable
         self.clauses = 0  # the clauses with coefficients 1, which at-most constraints pack
         self.at_most: list[tuple[int, int]] = []  # (index, plain literals of its variables)
         # per at-most constraint: the inclusion-minimal clauses over its variables
         self.packable: list[int] = []
-        # Constraints attached with slack below their largest coefficient,
-        # such as a blocking clause at a model: an undo can leave them
-        # forcing or falsified without any of their literals falling.
-        self.recheck: list[int] = []
 
     def add_constraint(self, c: LinearConstraint) -> None:
         """Attach *c* under the current assignment; propagate checks it next."""
         if c.trivially_true:
             return
-        ci = len(self.cons)
+        ci = len(self.mask)
         bit = 1 << ci
         lits = [2 * (lit.var - 1) + lit.negated for _, lit in c.terms]
         mask = satisfying = 0
@@ -154,16 +182,18 @@ class _Search:
                 self.sat_by[l] |= bit
         self.lits.append(lits)
         self.mask.append(mask)
-        if satisfying == mask:
-            self.cons.append((1, [(1, mask)]))
+        clause = satisfying == mask
+        if clause:
+            self.clause_form |= bit
+            for l in lits:
+                self.on_var[l >> 1] |= bit
             if c.degree == 1 and by_coef.keys() == {1}:
                 self.clauses |= bit
                 for i, (_, plain) in enumerate(self.at_most):
                     if not mask & ~plain:
                         self.packable[i] = self._minimal(self.packable[i], ci, plain)
         else:
-            self.cons.append((c.degree, sorted(by_coef.items(), reverse=True)))
-            self.summed.append(ci)
+            self.summed[ci] = (c.degree, sorted(by_coef.items(), reverse=True))
             if by_coef.keys() == {1} and not mask & self.even:
                 plain = mask >> 1
                 packable = 0
@@ -176,15 +206,27 @@ class _Search:
                         packable = self._minimal(packable, cj, plain)
                 self.at_most.append((ci, plain))
                 self.packable.append(packable)
-        # sat follows from the assignment, also in the trail's snapshots
-        trail = self.trail
-        for i, (made, false, assigned, sat) in enumerate(trail):
+        # sat and the clause's count follow from the assignment, also in the
+        # trail's snapshots
+        pad = [0] * (len(lits).bit_length() - len(self.cnt)) if clause else []
+        for i, (made, false, assigned, sat, cnt) in enumerate(self.trail):
             if satisfying & assigned & ~false:
-                trail[i] = (made, false, assigned, sat | bit)
+                self.trail[i] = (made, false, assigned, sat | bit, cnt)
+            if clause:
+                self._count(cnt, pad, bit, mask & ~assigned)
         if satisfying & self.assigned & ~self.false:
             self.sat |= bit
-        if self._tight(ci):
-            self.recheck.append(ci)
+        if clause:
+            self._count(self.cnt, pad, bit, mask & ~self.assigned)
+
+    @staticmethod
+    def _count(cnt: list[int], pad: list[int], bit: int, free: int) -> None:
+        """Pad the slices *cnt* and give clause *bit* the count of the literals *free*."""
+        cnt += pad
+        count = free.bit_count()
+        for i in range(count.bit_length()):
+            if count >> i & 1:
+                cnt[i] |= bit
 
     def _minimal(self, kept: int, ci: int, plain: int) -> int:
         """The clauses *kept*, inclusion-minimal and over the literals
@@ -223,52 +265,53 @@ class _Search:
         self._make_true(1 << 2 * v + 1 - b)
 
     def _make_true(self, lits: int) -> None:
-        """Make the free literals in *lits* true in one trail entry."""
-        self.trail.append((lits, self.false, self.assigned, self.sat))
+        """Make the free literals in *lits* true in one trail entry, and
+        take one off the count of each clause on their variables."""
+        self.trail.append((lits, self.false, self.assigned, self.sat, self.cnt))
         both = ((lits | lits >> 1) & self.even) * 3
         self.assigned |= both
         self.false |= both ^ lits
-        sat, sat_by = self.sat, self.sat_by
+        sat, sat_by, on_var = self.sat, self.sat_by, self.on_var
+        cnt = self.cnt[:]
         while lits:
             low = lits & -lits
             lits ^= low
-            sat |= sat_by[low.bit_length() - 1]
+            l = low.bit_length() - 1
+            sat |= sat_by[l]
+            borrow = on_var[l >> 1]  # subtract 1, slice by slice
+            i = 0
+            while borrow:
+                c = cnt[i]
+                cnt[i] = c ^ borrow
+                borrow &= ~c
+                i += 1
         self.sat = sat
+        self.cnt = cnt
 
     def undo(self, mark: int) -> None:
         """Restore the assignment from before trail entry *mark*."""
         if mark < len(self.trail):
-            _, self.false, self.assigned, self.sat = self.trail[mark]
+            _, self.false, self.assigned, self.sat, self.cnt = self.trail[mark]
             del self.trail[mark:]
-        self.head = min(self.head, mark)
-        self.recheck = [ci for ci in self.recheck if self._tight(ci)]
 
-    def _tight(self, ci: int) -> bool:
-        """True while *ci* may force or conflict.
-
-        That is while its slack, the largest left-hand side still reachable
-        minus the degree, is below its largest coefficient.  An undo only
-        raises the slack.
-        """
-        degree, groups = self.cons[ci]
-        open_ = ~self.false
-        slack = sum(coef * (m & open_).bit_count() for coef, m in groups) - degree
-        return slack < groups[0][0]
+    def _smallest(self, among: int) -> tuple[int, int]:
+        """The least count of the clauses in *among*, a nonempty constraint
+        mask, and the clauses of that count: one slice at a time from the
+        highest, keep the clauses with a 0 there if any."""
+        cnt = self.cnt
+        count = 0
+        for i in range(len(cnt) - 1, -1, -1):
+            low = among & ~cnt[i]
+            if low:
+                among = low
+            else:
+                count |= 1 << i
+        return count, among
 
     def _force(self, ci: int) -> bool:
-        """Force what constraint *ci* implies; False on a conflict."""
-        degree, groups = self.cons[ci]
+        """Force what summed constraint *ci* implies; False on a conflict."""
+        degree, groups = self.summed[ci]
         open_ = ~self.false
-        if degree == 1:  # a clause
-            nf = groups[0][1] & open_
-            if nf & (nf - 1) or nf & self.assigned:
-                return True
-            if not nf:
-                self.stats.conflicts += 1
-                return False
-            self._make_true(nf)
-            self.stats.propagations += 1
-            return True
         slack = -degree
         for coef, m in groups:
             slack += coef * (m & open_).bit_count()
@@ -286,44 +329,43 @@ class _Search:
             self.stats.propagations += forced.bit_count()
         return True
 
-    def _recheck(self) -> bool:
-        """Propagate the constraints on the recheck list; False on a conflict.
-
-        A constraint stays on the list while it is tight.
-        """
-        pending, self.recheck = self.recheck, []
-        for i, ci in enumerate(pending):
-            if not self._force(ci):
-                self.recheck += pending[i:]
-                return False
-            if self._tight(ci):
-                self.recheck.append(ci)
-        return True
-
     def propagate(self) -> bool:
-        """Propagate the unprocessed trail to fixpoint; False on a conflict.
+        """Propagate to fixpoint; False on a conflict.
 
-        Each trail entry is one batch: the constraints on the literals it
-        made false, minus those already satisfied, in index order.
+        Each round first reads the open clauses from their counts: one of
+        count 0 is a conflict, and the units, those of count 1, make their
+        free literals true in one trail entry (two units on both literals of
+        a variable are a conflict).  Then each summed constraint is forced,
+        in index order.  A round that makes nothing true ends it, so no
+        constraint needs to be told that it changed, whether by an
+        assignment, an undo or an attachment.
         """
-        if self.recheck and not self._recheck():
-            return False
-        trail, occ = self.trail, self.occ
-        while self.head < len(trail):
-            made = trail[self.head][0]
-            self.head += 1
-            touched = 0
-            while made:
-                low = made & -made
-                made ^= low
-                touched |= occ[low.bit_length() - 1 ^ 1]
-            touched &= ~self.sat
-            while touched:
-                low = touched & -touched
-                touched ^= low
-                if not self._force(low.bit_length() - 1):
+        trail, mask = self.trail, self.mask
+        while True:
+            mark = len(trail)
+            open_ = self.clause_form & ~self.sat
+            if open_:
+                count, units = self._smallest(open_)
+                if count == 0:
+                    self.stats.conflicts += 1
                     return False
-        return True
+                if count == 1:
+                    lits = 0
+                    while units:
+                        low = units & -units
+                        units ^= low
+                        lits |= mask[low.bit_length() - 1]
+                    lits &= ~self.assigned
+                    if lits & lits >> 1 & self.even:
+                        self.stats.conflicts += 1
+                        return False
+                    self._make_true(lits)
+                    self.stats.propagations += lits.bit_count()
+            for ci in self.summed:
+                if not self._force(ci):
+                    return False
+            if len(trail) == mark:
+                return True
 
     def bound(self) -> tuple[tuple[int, ...], int]:
         """The packing bound at a propagation fixpoint: (indices used, literals fixed).
@@ -334,47 +376,55 @@ class _Search:
         one of its free variables made true, so clauses with pairwise
         disjoint free literals each use up one unit of slack.  The clauses
         are packed greedily, fewest free literals first (on ties, the lowest
-        free-literal mask, then the lowest index).  More picks than slack is
-        a conflict.  Exactly slack picks use up the budget, so every free
-        variable of S outside the picks' free literals must be false: those
-        are fixed false in one trail entry and the bound returns, since the
-        next at-most constraint needs the fixing propagated first.
-        ``used`` is the at-most constraint's index followed by the picks';
-        their sum is a constraint that propagation refutes under the current
-        assignment on a conflict, and that forces the fixed literals on a
-        fixing, so either is one cutting-planes step.  ``fixed`` is the mask
-        of literals made true, 0 on a conflict.  Returns ((), 0) when the
-        bound does not fire.
+        free-literal mask, then the lowest index): the clauses of one count
+        at a time, from the counts, each sorted, and a pick drops every
+        clause on its free literals.  More picks than slack is a conflict.
+        Exactly slack picks use up the budget, so every free variable of S
+        outside the picks' free literals must be false: those are fixed
+        false in one trail entry and the bound returns, since the next
+        at-most constraint needs the fixing propagated first.  ``used`` is
+        the at-most constraint's index followed by the picks'; their sum is
+        a constraint that propagation refutes under the current assignment
+        on a conflict, and that forces the fixed literals on a fixing, so
+        either is one cutting-planes step.  ``fixed`` is the mask of
+        literals made true, 0 on a conflict.  Returns ((), 0) when the bound
+        does not fire.
         """
         free = ~self.assigned
         open_ = ~self.sat
-        mask, cons = self.mask, self.cons
+        mask, occ, summed = self.mask, self.occ, self.summed
         for (ai, plain), packable in zip(self.at_most, self.packable):
-            degree, [(_, lits)] = cons[ai]
+            degree, [(_, lits)] = summed[ai]
             slack = (lits & ~self.false).bit_count() - degree
             rest = packable & open_
             # each unsatisfied clause has two free literals at a fixpoint, so
             # slack picks leave nothing outside them when S has <= 2 * slack
             if rest.bit_count() < slack or (plain & free).bit_count() <= 2 * slack:
                 continue
-            found = []
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                ci = low.bit_length() - 1
-                m = mask[ci] & free
-                found.append((m.bit_count(), m, ci))
-            found.sort()
             used = 0
             picked = [ai]
-            for _, m, ci in found:
-                if not m & used:
+            while rest:
+                _, size = self._smallest(rest)
+                found = []
+                while size:
+                    low = size & -size
+                    size ^= low
+                    ci = low.bit_length() - 1
+                    found.append((mask[ci] & free, ci))
+                found.sort()
+                for m, ci in found:
+                    if not rest >> ci & 1:  # it meets an earlier pick
+                        continue
                     used |= m
                     picked.append(ci)
                     if len(picked) > slack + 1:
                         self.stats.conflicts += 1
                         self.stats.bound_conflicts += 1
                         return tuple(picked), 0
+                    while m:  # drop the pick and every clause that meets it
+                        low = m & -m
+                        m ^= low
+                        rest &= ~occ[low.bit_length() - 1]
             outside = plain & free & ~used
             if len(picked) == slack + 1 and outside:
                 self._make_true(outside << 1)
@@ -398,46 +448,35 @@ class _Search:
 
         The unsatisfied constraint with the fewest unassigned literals
         (lowest index on ties), and in it the unassigned variable in the
-        most unsatisfied constraints (first in term order on ties).  At a
-        propagation fixpoint every unsatisfied constraint has at least two
-        unassigned literals, so the scan stops at the first with two.
+        most unsatisfied constraints (first in term order on ties).  The
+        clauses' least count comes from the counts; the few summed
+        constraints are counted.
         """
-        unsat = ((1 << len(self.cons)) - 1) & ~self.sat
+        unsat = ~self.sat
         true = self.assigned & ~self.false
-        cons = self.cons
-        for ci in self.summed:
+        mask = self.mask
+        free = ~self.assigned
+        fewest = []  # (unassigned literals, index) of unsatisfied constraints
+        open_ = unsat & self.clause_form
+        if open_:
+            count, smallest = self._smallest(open_)
+            fewest.append((count, (smallest & -smallest).bit_length() - 1))
+        for ci, (need, groups) in self.summed.items():
             if unsat >> ci & 1:
-                need, groups = cons[ci]
                 for coef, m in groups:
                     need -= coef * (m & true).bit_count()
                 if need <= 0:
                     unsat ^= 1 << ci
-        if not unsat:
+                else:
+                    fewest.append(((mask[ci] & free).bit_count(), ci))
+        if not fewest:
             return None
-        mask = self.mask
-        free = ~self.assigned
-        best_ci = -1
-        best_k = 1 << 30
-        rest = unsat
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            ci = low.bit_length() - 1
-            k = (mask[ci] & free).bit_count()
-            if k < best_k:
-                best_ci, best_k = ci, k
-                if k == 2:
-                    break
         occ = self.occ
-        best = None
-        best_score = -1
-        for l in self.lits[best_ci]:
-            if free >> l & 1:
-                score = ((occ[l] | occ[l ^ 1]) & unsat).bit_count()
-                if score > best_score:
-                    best_score = score
-                    best = (l >> 1, bool(l & 1))
-        return best
+        l = max(  # the first of the best-scored literals
+            (l for l in self.lits[min(fewest)[1]] if free >> l & 1),
+            key=lambda l: ((occ[l] | occ[l ^ 1]) & unsat).bit_count(),
+        )
+        return l >> 1, bool(l & 1)
 
     def search(self, node_limit: int, on_model, split_vars: tuple[int, ...] = ()) -> None:
         """Exhaust the space, calling on_model for each model found.

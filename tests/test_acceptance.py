@@ -120,11 +120,13 @@ def test_criterion_4_lower_bound(sbg, oracle_counts):
     res = solve(encode_ics(sbg, 9))
     solver_time = time.time() - t
     assert res.status == "UNSAT"
-    # the search tree: a change in these counts is a change of search
+    # the search tree: a change in these counts is a change of search, or for
+    # propagations of what propagation forces before each conflict
     stats = res.stats
     assert (
-        stats.decisions, stats.conflicts, stats.bound_conflicts, stats.bound_fixings
-    ) == (300, 301, 229, 315)
+        stats.decisions, stats.propagations, stats.conflicts,
+        stats.bound_conflicts, stats.bound_fixings,
+    ) == (300, 1_017, 301, 229, 315)
     assert solver_time < 300
     report(4, f"no code of size 8 or 9; solver refutes budget 9 in {solver_time:.1f}s")
 

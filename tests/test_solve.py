@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -178,13 +179,15 @@ def test_limit_propagates_through_enumeration():
 
 
 def test_sbg_budget_10_search_tree():
-    # a change in these counts is a change of search, not a faster propagation
+    # a change in these counts is a change of search, or for propagations of
+    # what propagation forces before each conflict, not a faster propagation
     res = solve(encode_ics(build_sbg(), 10))
     assert res.is_sat
     stats = res.stats
     assert (
-        stats.decisions, stats.conflicts, stats.bound_conflicts, stats.bound_fixings
-    ) == (37, 30, 15, 56)
+        stats.decisions, stats.propagations, stats.conflicts,
+        stats.bound_conflicts, stats.bound_fixings,
+    ) == (37, 108, 30, 15, 56)
 
 
 def test_stats_populated():
@@ -288,13 +291,37 @@ def test_root_fixpoint_agrees_with_brute_force():
     )
 
 
+def _counts_hold(eng):
+    """Each clause's count read from the bit slices is its number of
+    unassigned variables, in the live state and in every trail snapshot; a
+    summed constraint's count is 0, and the slices can count every clause."""
+    clauses = [ci for ci in range(len(eng.mask)) if eng.clause_form >> ci & 1]
+    assert len(eng.cnt) == max((len(eng.lits[ci]) for ci in clauses), default=0).bit_length()
+    for _, _, assigned, _, cnt in eng.trail + [(0, 0, eng.assigned, 0, eng.cnt)]:
+        assert len(cnt) == len(eng.cnt)
+        for ci in range(len(eng.mask)):
+            count = sum(1 << i for i, s in enumerate(cnt) if s >> ci & 1)
+            clause = eng.clause_form >> ci & 1
+            assert count == (eng.mask[ci] & ~assigned).bit_count() * clause
+
+
+def test_the_plain_literal_mask_is_in_closed_form():
+    for n in range(9):
+        assert _Search(n).even == sum(1 << 2 * v for v in range(n))
+    # the sum took seconds at this size, as it is quadratic in n
+    start = time.perf_counter()
+    _Search(300_000)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_search_engine_propagates_like_a_fresh_counting_engine():
     # random decide / undo / attach sequences; at every fixpoint the bitmask
     # engine's verdict and assigned literals equal root_fixpoint's over the
     # same constraints plus the decisions as unit constraints, and its
-    # branch equals a full scan's
+    # branch equals a full scan's; after every step each clause's count
+    # equals a recount, in the live state and in every trail snapshot
     rng = random.Random(12)
-    fixpoints = attached_at_total = 0
+    fixpoints = attached_at_total = grown = 0
     for _ in range(1500):
         n = rng.randint(1, 6)
         cons = mixed_constraints(rng, n, rng.randint(0, 3))
@@ -304,7 +331,9 @@ def test_search_engine_propagates_like_a_fresh_counting_engine():
         decisions = []  # (trail mark, unit constraint)
 
         def at_fixpoint():
+            _counts_hold(eng)
             ok = eng.propagate()
+            _counts_hold(eng)
             ref = root_fixpoint(cons + [unit for _, unit in decisions])
             assert ok == (ref is not None)
             if ok:
@@ -313,7 +342,7 @@ def test_search_engine_propagates_like_a_fresh_counting_engine():
                 assert sum(entry[0].bit_count() for entry in eng.trail) == len(assigned)
                 assert assigned == {(v - 1, b) for v, b in ref.items()}
                 # no unsatisfied constraint is left with fewer than two free
-                # variables, which is what lets pick_branch stop early
+                # variables, which the packing bound's early exit relies on
                 for c in cons:
                     if _unsatisfied(c, eng.value):
                         assert sum(eng.value(lit.var - 1) == -1 for _, lit in c.terms) >= 2
@@ -345,10 +374,12 @@ def test_search_engine_propagates_like_a_fresh_counting_engine():
                     ), 1)
                     attached_at_total += 1
                 cons.append(c)
+                slices = len(eng.cnt)
                 eng.add_constraint(c)
+                grown += len(eng.cnt) > slices and bool(eng.trail)
             ok = at_fixpoint()
             fixpoints += 1
-    assert fixpoints > 6000 and attached_at_total > 800
+    assert fixpoints > 6000 and attached_at_total > 800 and grown > 200, grown
 
 
 # -- the packing bound on at-most constraints -----------------------------------
@@ -569,10 +600,37 @@ def test_a_decision_that_uses_up_the_slack_fixes_the_rest_false():
     assert eng.stats.bound_fixings == 1 and eng.stats.bound_conflicts == 0
 
 
+def test_units_on_both_literals_of_a_variable_are_one_conflict():
+    # x1 + x2 >= 1 and ~x1 + x2 >= 1: x2 = 0 makes both units, on x1 and
+    # on ~x1, which is one conflict and forces neither
+    eng = _Search(2)
+    eng.add_constraint(LinearConstraint(((1, pos(1)), (1, pos(2))), 1))
+    eng.add_constraint(LinearConstraint(((1, Literal(1, True)), (1, pos(2))), 1))
+    assert eng.propagate()
+    eng.assign(1, 0)
+    assert not eng.propagate()
+    assert (eng.stats.conflicts, eng.stats.propagations, len(eng.trail)) == (1, 0, 1)
+
+
+def test_a_clause_with_larger_coefficients_is_not_packed():
+    # x1 + ... + x4 <= 1 with x1 + x2 >= 1 and 2 x3 + 2 x4 >= 1: only
+    # clauses with coefficients 1 are packed, so that the at-most constraint
+    # plus the picks is one cutting-planes sum; the one pick x1 + x2 uses up
+    # the slack of 1 and fixes x3 and x4 false, and propagation refutes
+    eng = _Search(4)
+    eng.add_constraint(normalize([(1, pos(v)) for v in range(1, 5)], "<=", 1)[0])
+    eng.add_constraint(LinearConstraint(((1, pos(1)), (1, pos(2))), 1))
+    eng.add_constraint(LinearConstraint(((2, pos(3)), (2, pos(4))), 1))
+    assert eng.clauses == 0b010
+    assert eng.propagate()
+    assert eng.bound() == ((0, 1), 1 << 2 * 2 + 1 | 1 << 2 * 3 + 1)
+    assert not eng.propagate()
+
+
 def _clauses_over(eng, plain):
     """The indices of the engine's packable-kind clauses whose literals lie in *plain*."""
     return [
-        ci for ci in range(len(eng.cons))
+        ci for ci in range(len(eng.mask))
         if eng.clauses >> ci & 1 and not eng.mask[ci] & ~plain
     ]
 

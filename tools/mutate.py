@@ -51,6 +51,24 @@ EQUIVALENT = [
      "the reset after a flush, whose leaf is appended next: size counts one "
      "mask too many, so later batches flush one mask early, still hold 1 to "
      "_CHUNK masks and lose none"),
+    ("src/sbgkit/solve.py", "_Search.bound",
+     "rest.bit_count() < slack or (plain & free).bit_count() <= 2 * slack", 0,
+     "rest.bit_count() < slack and (plain & free).bit_count() <= 2 * slack",
+     "the early exit only skips calls that fire nothing: fewer open clauses than "
+     "slack pick too few, and slack disjoint picks of two or more free literals "
+     "each leave no free variable outside when there are at most 2 * slack"),
+    ("src/sbgkit/solve.py", "_Search.bound",
+     "rest.bit_count() < slack or (plain & free).bit_count() <= 2 * slack", 0,
+     "rest.bit_count() < slack or (plain & free).bit_count() < 2 * slack",
+     "a weaker early exit; the calls it no longer skips fire nothing, as above"),
+    ("src/sbgkit/solve.py", "_Search.bound", "low = m & -m", 0, "low = m | -m",
+     "m | -m is minus the lowest bit, of the same bit_length; the drop then also "
+     "reads occ of the negated literals up to just above the pick's, and no "
+     "packable clause holds a negated literal"),
+    ("src/sbgkit/solve.py", "_Search.pick_branch",
+     "fewest.append((count, (smallest & -smallest).bit_length() - 1))", 0,
+     "fewest.append((count, (smallest | -smallest).bit_length() - 1))",
+     "smallest | -smallest is minus its lowest bit, and bit_length ignores the sign"),
 ]
 
 _SWAPS = {
