@@ -28,20 +28,19 @@ constraint, ``sum ~x >= degree`` with coefficients 1, whose slack is how many
 more of its variables may become true: unsatisfied clauses of plain literals
 over those variables with pairwise disjoint free literals each need one of
 them, so more such clauses than slack is a conflict.  The clauses are picked
-greedily, fewest free literals first.  This is the standard lower bound of
-hitting-set search.  Only inclusion-minimal clauses are packed: whenever a
-clause containing another is open, so is the other, which sorts no later
-and shares its free literals, so leaving the larger one out changes neither
-the number of picks nor the literals they use; on the SBG it cuts the 272
-packable clauses to 152.  When exactly slack clauses are picked, they use
-up the slack, so every other free variable of the at-most constraint is
-fixed false in one trail entry (the "limit lower bound" of covering search);
-propagation and the bound then run again until a conflict or nothing new is
-fixed.  The two cut the SBG budget-9 refutation from 21,755 decisions to
-300.  Each bound conflict and each fixing is one cutting-planes sum, the
-at-most constraint plus the packed clauses, from which propagation derives
-the conflict or the fixed literals.  A formula without at-most constraints
-never runs it.
+greedily, fewest free literals first, and each pick drops every clause it
+meets.  This is the standard lower bound of hitting-set search.  Every
+clause with coefficients 1 over the variables is packable: one containing
+another open clause is picked only in place of that one, with the same
+free literals, since the smaller sorts no later and a pick that meets the
+smaller meets the larger.  When exactly slack clauses are picked, they use up the slack, so
+every other free variable of the at-most constraint is fixed false in one
+trail entry (the "limit lower bound" of covering search); propagation and
+the bound then run again until a conflict or nothing new is fixed.  The
+two cut the SBG budget-9 refutation from 21,755 decisions to 300.  Each
+bound conflict and each fixing is one cutting-planes sum, the at-most
+constraint plus the packed clauses, from which propagation derives the
+conflict or the fixed literals.
 
 Branching picks an unsatisfied constraint with the fewest unassigned
 literals and, within it, the literal whose variable appears in the most
@@ -161,7 +160,7 @@ class _Search:
         self.on_var = [0] * num_vars  # the clauses containing a variable
         self.clauses = 0  # the clauses with coefficients 1, which at-most constraints pack
         self.at_most: list[tuple[int, int]] = []  # (index, plain literals of its variables)
-        # per at-most constraint: the inclusion-minimal clauses over its variables
+        # per at-most constraint: the clauses with coefficients 1 over its variables
         self.packable: list[int] = []
 
     def add_constraint(self, c: LinearConstraint) -> None:
@@ -191,7 +190,7 @@ class _Search:
                 self.clauses |= bit
                 for i, (_, plain) in enumerate(self.at_most):
                     if not mask & ~plain:
-                        self.packable[i] = self._minimal(self.packable[i], ci, plain)
+                        self.packable[i] |= bit
         else:
             self.summed[ci] = (c.degree, sorted(by_coef.items(), reverse=True))
             if by_coef.keys() == {1} and not mask & self.even:
@@ -201,9 +200,8 @@ class _Search:
                 while rest:
                     low = rest & -rest
                     rest ^= low
-                    cj = low.bit_length() - 1
-                    if not self.mask[cj] & ~plain:
-                        packable = self._minimal(packable, cj, plain)
+                    if not self.mask[low.bit_length() - 1] & ~plain:
+                        packable |= low
                 self.at_most.append((ci, plain))
                 self.packable.append(packable)
         # sat and the clause's count follow from the assignment, also in the
@@ -227,33 +225,6 @@ class _Search:
         for i in range(count.bit_length()):
             if count >> i & 1:
                 cnt[i] |= bit
-
-    def _minimal(self, kept: int, ci: int, plain: int) -> int:
-        """The clauses *kept*, inclusion-minimal and over the literals
-        *plain*, with clause *ci* added so that they stay so.
-
-        *ci* is left out when a kept clause lies inside it (of equal
-        clauses the one added first stays), else the kept clauses that
-        contain it are dropped.  A clause B containing a clause A never
-        changes the packing: B unsatisfied means A unsatisfied, A sorts no
-        later than B, and B meets A's free literals.
-        """
-        mask, occ = self.mask[ci], self.occ
-        outside = 0  # the constraints with a literal of *plain* outside ci
-        rest = plain & ~mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            outside |= occ[low.bit_length() - 1]
-        if kept & ~outside:
-            return kept
-        containing = kept
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            containing &= occ[low.bit_length() - 1]
-        return kept & ~containing | 1 << ci
 
     def value(self, v: int) -> int:
         """1 or 0 for an assigned variable, -1 for a free one."""
@@ -397,10 +368,6 @@ class _Search:
             degree, [(_, lits)] = summed[ai]
             slack = (lits & ~self.false).bit_count() - degree
             rest = packable & open_
-            # each unsatisfied clause has two free literals at a fixpoint, so
-            # slack picks leave nothing outside them when S has <= 2 * slack
-            if rest.bit_count() < slack or (plain & free).bit_count() <= 2 * slack:
-                continue
             used = 0
             picked = [ai]
             while rest:
@@ -436,8 +403,6 @@ class _Search:
         """Propagate and run the packing bound until it fixes nothing new;
         True on a conflict."""
         while self.propagate():
-            if not self.at_most:
-                return False
             used, fixed = self.bound()
             if not fixed:
                 return bool(used)

@@ -342,7 +342,7 @@ def test_search_engine_propagates_like_a_fresh_counting_engine():
                 assert sum(entry[0].bit_count() for entry in eng.trail) == len(assigned)
                 assert assigned == {(v - 1, b) for v, b in ref.items()}
                 # no unsatisfied constraint is left with fewer than two free
-                # variables, which the packing bound's early exit relies on
+                # variables
                 for c in cons:
                     if _unsatisfied(c, eng.value):
                         assert sum(eng.value(lit.var - 1) == -1 for _, lit in c.terms) >= 2
@@ -635,22 +635,14 @@ def _clauses_over(eng, plain):
     ]
 
 
-def test_the_bound_packs_only_inclusion_minimal_clauses():
-    # a clause is kept unless another clause over the variables lies inside
-    # it; of equal clauses the lowest index is kept, whichever was attached
-    # first, the at-most constraint or the clauses
+def test_the_bound_packs_every_clause_over_the_variables():
+    # each at-most constraint packs every clause with coefficients 1 over its
+    # variables, whichever was attached first, the at-most constraint or the
+    # clauses
     def check(f):
         eng = _search_for(f)
         for (_, plain), packable in zip(eng.at_most, eng.packable):
-            over = _clauses_over(eng, plain)
-            minimal = [
-                ci for ci in over
-                if not any(
-                    not eng.mask[cj] & ~eng.mask[ci] and (eng.mask[cj] != eng.mask[ci] or cj < ci)
-                    for cj in over if cj != ci
-                )
-            ]
-            assert packable == sum(1 << ci for ci in minimal)
+            assert packable == sum(1 << ci for ci in _clauses_over(eng, plain))
         return eng
 
     rng = random.Random(5)
@@ -659,28 +651,4 @@ def test_the_bound_packs_only_inclusion_minimal_clauses():
     f9 = encode_ics(build_sbg(), 9)
     for f in (f9, PBFormula(f9.num_vars, f9.constraints[::-1])):  # at-most last, then first
         eng = check(f)
-        (_, plain), = eng.at_most
-        assert len(_clauses_over(eng, plain)) == 272 and eng.packable[0].bit_count() == 152
-
-
-class _PacksEveryClause(_Search):
-    """The engine with every clause over an at-most constraint's variables packable."""
-
-    def _minimal(self, kept, ci, plain):
-        return kept | 1 << ci
-
-
-def test_packing_only_minimal_clauses_changes_no_search(monkeypatch):
-    # a clause containing another is never picked by the greedy packing, so
-    # leaving it out keeps every count and every model
-    rng = random.Random(5)
-    formulas = [hitting_set_formula(rng, rng.randint(4, 12)) for _ in range(300)]
-    formulas += [encode_ics(build_sbg(), 9), encode_ics(build_sbg(), 10)]
-
-    def run():
-        return [(solve(f).stats, [a.values for a in enumerate_all(f)]) for f in formulas]
-
-    minimal = run()
-    monkeypatch.setattr(importlib.import_module("sbgkit.solve"), "_Search", _PacksEveryClause)
-    assert run() == minimal
-    assert sum(stats.bound_fixings + stats.bound_conflicts for stats, _ in minimal) > 800
+        assert len(eng.at_most) == 1 and eng.packable[0].bit_count() == 272
