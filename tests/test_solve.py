@@ -190,6 +190,31 @@ def test_sbg_budget_10_search_tree():
     ) == (37, 108, 30, 15, 56)
 
 
+# The order in which the search finds its models; a change here is a change of
+# search, since every test above compares sets.
+SBG_EXACT_10_ORDER = [
+    2148993592, 2080374846, 2149400718, 1665140108, 2161232136, 1184891736,
+    2149286172, 2148471858, 224396976, 2172885520, 832570054, 448791906,
+    2149458022, 2183950402, 71065793, 1108227137, 278104833, 948033537,
+    475064321, 1896003585, 1711568897, 554114561, 2198223904, 1277751297,
+    140099969, 2155405444,
+]
+
+
+def test_sbg_models_arrive_in_a_fixed_order():
+    sbg = build_sbg()
+    models = enumerate_all(encode_ics(sbg, 10, exact=True))
+    assert [a.code_mask() for a in models] == SBG_EXACT_10_ORDER
+    assert solve(encode_ics(sbg, 10)).witness.code_mask() == SBG_EXACT_10_ORDER[0]
+
+
+def test_the_projection_order_sets_the_split_order():
+    f = PBFormula(2, ())
+    assert [a.values for a in enumerate_all(f)] == [(1, 1), (1, 0), (0, 1), (0, 0)]
+    got = [(a.value(1), a.value(2)) for a in enumerate_all(f, projection=[2, 1])]
+    assert got == [(1, 1), (0, 1), (1, 0), (0, 0)]
+
+
 def test_stats_populated():
     f = parse_opb(EXAMPLE_UNSAT_OPB)
     res = solve(f)
