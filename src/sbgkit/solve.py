@@ -45,9 +45,10 @@ conflict or the fixed literals.
 Branching picks an unsatisfied constraint with the fewest unassigned
 literals and, within it, the literal whose variable appears in the most
 unsatisfied constraints, assigning the value that makes the literal true.
-Enumeration runs a single search tree: each model found is excluded by
-attaching its blocking constraint on the fly and treating the model as a
-conflict, so the total work is one refutation of the fully blocked formula.
+Enumeration runs a single search tree: the search yields each model, the
+caller attaches the model's blocking constraint before it asks for the
+next, and the search resumes by treating the model as a conflict, so the
+total work is one refutation of the fully blocked formula.
 
 The proof verifier's reverse-unit-propagation checker, proof.RupChecker,
 shares no code with that engine.  root_fixpoint is the propagation rule
@@ -60,7 +61,7 @@ the checker agree wrongly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .encode import (
     Assignment,
@@ -72,10 +73,6 @@ from .encode import (
 )
 
 DEFAULT_NODE_LIMIT = 10_000_000
-
-
-class _StopSearch(Exception):
-    pass
 
 
 class SolveError(RuntimeError):
@@ -443,15 +440,16 @@ class _Search:
         )
         return l >> 1, bool(l & 1)
 
-    def search(self, node_limit: int, on_model, split_vars: tuple[int, ...] = ()) -> None:
-        """Exhaust the space, calling on_model for each model found.
+    def search(self, node_limit: int, split_vars: tuple[int, ...] = ()) -> Iterator[list[int]]:
+        """Exhaust the space, yielding each model found.
 
         When every constraint is satisfied but some variable in *split_vars*
-        is still unassigned, the search splits on it instead of reporting, so
-        reported models are total over split_vars (free variables outside it
-        are completed with 0).  on_model may attach new constraints, e.g. a
-        blocking constraint; after it returns the model is treated as a
-        conflict.  Raises SolveLimitReached when the decision cap is hit.
+        is still unassigned, the search splits on it instead of yielding, so
+        models are total over split_vars (free variables outside it are
+        completed with 0).  Before it asks for the next model the caller may
+        attach constraints, e.g. the model's blocking constraint; the model
+        is then treated as a conflict.  Raises SolveLimitReached when the
+        decision cap is hit.
         """
         if not self.propagate():
             return
@@ -466,8 +464,7 @@ class _Search:
                             branch = (v, False)
                             break
                 if branch is None:
-                    model = [max(self.value(v), 0) for v in range(self.num_vars)]
-                    on_model(model)
+                    yield [max(self.value(v), 0) for v in range(self.num_vars)]
                     conflict = True
                     continue
                 if self.stats.decisions >= node_limit:
@@ -502,16 +499,8 @@ def solve(f: PBFormula, node_limit: int = DEFAULT_NODE_LIMIT) -> SolveResult:
     inconclusive outcome distinct from UNSAT.
     """
     eng = _search_for(f)
-    found: list[Assignment] = []
-
-    def on_model(model: list[int]) -> None:
-        found.append(Assignment.total(model))
-        raise _StopSearch
-
-    try:
-        eng.search(node_limit, on_model)
-    except _StopSearch:
-        witness = found[0]
+    for model in eng.search(node_limit):
+        witness = Assignment.total(model)
         if not f.satisfied_by(witness):
             raise SolveError("internal error: witness fails recheck")
         return SolveResult("SAT", witness, eng.stats)
@@ -526,9 +515,9 @@ def enumerate_all(
     """All satisfying assignments of *f*, projected onto *projection*.
 
     Each model found is excluded by a blocking constraint over the projection
-    variables and the search continues until unsatisfiable, so the result is
-    exactly one assignment per distinct projection.  Every full model is
-    validated against the original formula before being reported.  A
+    variables before the search resumes, and the search continues until
+    unsatisfiable, so the result is exactly one assignment per distinct
+    projection.  Every full model is rechecked against *f* as it arrives.  A
     projection that repeats a variable or leaves 1..num_vars raises
     EncodeError.
     """
@@ -541,19 +530,13 @@ def enumerate_all(
         if not 1 <= var <= f.num_vars:
             raise EncodeError(f"projection variable x{var} out of range")
     eng = _search_for(f)
-    full_models: list[Assignment] = []
-
-    def on_model(model: list[int]) -> None:
-        a = Assignment.total(model)
-        full_models.append(a)
-        eng.add_constraint(blocking_constraint(a, proj))
-
-    eng.search(node_limit, on_model, split_vars=tuple(v - 1 for v in proj))
     out = []
     seen = set()
-    for a in full_models:
+    for model in eng.search(node_limit, split_vars=tuple(v - 1 for v in proj)):
+        a = Assignment.total(model)
+        eng.add_constraint(blocking_constraint(a, proj))
         if not f.satisfied_by(a):
-            raise SolveError("internal error: recorded model fails recheck")
+            raise SolveError("internal error: model fails recheck")
         projected = a.restrict(proj)
         if projected.values in seen:
             raise SolveError("internal error: duplicate projected model")
