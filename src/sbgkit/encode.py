@@ -359,15 +359,6 @@ def _to_int(digits: str) -> int:
         raise _TooLong(f"integer of {len(digits)} characters is too long") from None
 
 
-def _parse_int(token: str, line_no: int, error: type = OpbError) -> int:
-    """The value of a matched digit string; one over Python's integer-string
-    limit raises *error* instead of ValueError."""
-    try:
-        return _to_int(token)
-    except _TooLong as exc:
-        raise error(line_no, str(exc)) from None
-
-
 @lru_cache(maxsize=_TOKEN_CACHE_SIZE)
 def _read_int(token: str) -> int | None:
     """The value of a signed integer token such as ``+3``, or None if *token*
@@ -461,16 +452,19 @@ def parse_opb(text: str) -> PBFormula:
         if not line:
             continue
         if line.startswith("*"):
-            m = _HEADER_RE.match(line)
-            if m and num_vars is None:
-                num_vars = _parse_int(m.group(1), line_no)
-                declared = _parse_int(m.group(2), line_no)
-                continue
-            parts = line.split()
-            if len(parts) == 4 and parts[1] == "name":
-                vm = _VAR_RE.match(parts[2])
-                if vm and not vm.group(1):
-                    names[_parse_int(vm.group(2), line_no)] = parts[3]
+            try:
+                m = _HEADER_RE.match(line)
+                if m and num_vars is None:
+                    num_vars = _to_int(m.group(1))
+                    declared = _to_int(m.group(2))
+                    continue
+                parts = line.split()
+                if len(parts) == 4 and parts[1] == "name":
+                    vm = _VAR_RE.match(parts[2])
+                    if vm and not vm.group(1):
+                        names[_to_int(vm.group(2))] = parts[3]
+            except _TooLong as exc:
+                raise OpbError(line_no, str(exc)) from None
             continue
         if num_vars is None:
             raise OpbError(line_no, "constraint before the OPB header")

@@ -23,7 +23,6 @@ of its own, sharing no code with the solver's search engine in solve.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import count
 from typing import Iterable, NamedTuple, Sequence
 
@@ -37,9 +36,9 @@ from .encode import (
     OpbError,
     _TooLong,
     _is_digits,
-    _parse_int,
     _read_int,
     _read_literal,
+    _to_int,
 )
 
 PROOF_HEADER = "pseudo-Boolean proof version 1.0"
@@ -56,9 +55,6 @@ class ProofParseError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
-
-
-_proof_int = partial(_parse_int, error=ProofParseError)
 
 
 class VerifyError(ValueError):
@@ -170,7 +166,7 @@ def _parse_polish(tokens: Sequence[str], line_no: int) -> tuple[tuple[str, objec
         elif tok == "*" or tok == "d":
             raise ProofParseError(line_no, f"'{tok}' without preceding integer")
         elif value is not None:
-            if value < 1:
+            if not _is_digits(tok) or value < 1:
                 raise ProofParseError(line_no, f"bad constraint id {tok!r}")
             depth += 1
             ops.append(("id", value))
@@ -190,59 +186,61 @@ def _parse_polish(tokens: Sequence[str], line_no: int) -> tuple[tuple[str, objec
 def parse_proof(text: str) -> list[ProofStep]:
     """Parse proof text into steps, validating syntax eagerly."""
     steps: list[ProofStep] = []
-    saw_header = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("*"):
             continue
-        if not saw_header:
+        if not steps:
             if line != PROOF_HEADER:
                 raise ProofParseError(line_no, f"expected header {PROOF_HEADER!r}")
-            saw_header = True
             steps.append(ProofStep("header", line_no))
             continue
-        directive, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if directive == "u":
-            tokens = rest.split()
-            if not tokens or tokens[-1] != ";":
-                raise ProofParseError(line_no, "'u' constraint must end with ';'")
-            try:
-                parsed = parse_constraint_tokens(tokens[:-1], line_no)
-            except OpbError as exc:
-                raise ProofParseError(line_no, f"bad 'u' constraint: {exc.message}") from None
-            steps.append(ProofStep("rup", line_no, parsed[0]))
-        elif directive == "l":
-            index = _proof_int(rest, line_no) if _is_digits(rest) else 0
-            if index < 1:
-                raise ProofParseError(line_no, f"'l' expects a 1-based index, got {rest!r}")
-            steps.append(ProofStep("load", line_no, index))
-        elif directive == "p":
-            tokens = rest.split()
-            if not tokens or tokens[-1] != "0":
-                raise ProofParseError(line_no, "'p' derivation must end with 0")
-            try:
-                ops = _parse_polish(tokens[:-1], line_no)
-            except _TooLong as exc:
-                raise ProofParseError(line_no, str(exc)) from None
-            steps.append(ProofStep("polish", line_no, ops))
-        elif directive == "c":
-            parts = rest.split()
-            if len(parts) != 2 or parts[1] != "0" or not _is_digits(parts[0]):
-                raise ProofParseError(line_no, "'c' expects '<id> 0'")
-            index = _proof_int(parts[0], line_no)
-            if index < 1:
-                raise ProofParseError(line_no, f"'c' expects a 1-based id, got {parts[0]!r}")
-            steps.append(ProofStep("contradiction", line_no, index))
-        elif directive in _UNSUPPORTED:
-            raise ProofParseError(
-                line_no, f"unsupported rule {directive!r} (outside the verified subset)"
-            )
-        else:
-            raise ProofParseError(line_no, f"unknown directive {directive!r}")
-    if not saw_header:
+        try:
+            steps.append(_parse_step(line, line_no))
+        except _TooLong as exc:
+            raise ProofParseError(line_no, str(exc)) from None
+    if not steps:
         raise ProofParseError(1, "empty proof: missing header")
     return steps
+
+
+def _parse_step(line: str, line_no: int) -> ProofStep:
+    """The step of a proof line after the header; an integer past Python's
+    integer-string limit raises _TooLong."""
+    directive, _, rest = line.partition(" ")
+    rest = rest.strip()
+    if directive == "u":
+        tokens = rest.split()
+        if not tokens or tokens[-1] != ";":
+            raise ProofParseError(line_no, "'u' constraint must end with ';'")
+        try:
+            parsed = parse_constraint_tokens(tokens[:-1], line_no)
+        except OpbError as exc:
+            raise ProofParseError(line_no, f"bad 'u' constraint: {exc.message}") from None
+        return ProofStep("rup", line_no, parsed[0])
+    if directive == "l":
+        index = _to_int(rest) if _is_digits(rest) else 0
+        if index < 1:
+            raise ProofParseError(line_no, f"'l' expects a 1-based index, got {rest!r}")
+        return ProofStep("load", line_no, index)
+    if directive == "p":
+        tokens = rest.split()
+        if not tokens or tokens[-1] != "0":
+            raise ProofParseError(line_no, "'p' derivation must end with 0")
+        return ProofStep("polish", line_no, _parse_polish(tokens[:-1], line_no))
+    if directive == "c":
+        parts = rest.split()
+        if len(parts) != 2 or parts[1] != "0" or not _is_digits(parts[0]):
+            raise ProofParseError(line_no, "'c' expects '<id> 0'")
+        index = _to_int(parts[0])
+        if index < 1:
+            raise ProofParseError(line_no, f"'c' expects a 1-based id, got {parts[0]!r}")
+        return ProofStep("contradiction", line_no, index)
+    if directive in _UNSUPPORTED:
+        raise ProofParseError(
+            line_no, f"unsupported rule {directive!r} (outside the verified subset)"
+        )
+    raise ProofParseError(line_no, f"unknown directive {directive!r}")
 
 
 # -- reverse unit propagation --------------------------------------------------

@@ -236,6 +236,8 @@ REPROS = [
      ["verify", "ex.opb", "p.pbp"], 2),
     ("zero c id", {"p.pbp": PROOF_HEADER + "l 1\nc 0 0\n"},
      ["verify", "ex.opb", "p.pbp"], 2),
+    ("signed p id", {"p.pbp": PROOF_HEADER + "l 1\np +1 0\n"},
+     ["verify", "ex.opb", "p.pbp"], 2),
     ("negative budget", {"g.txt": SMALL_GRAPH},
      ["encode", "--graph", "g.txt", "--budget", "-1", "--out", "o.opb"], 2),
     ("oracle k beyond n", {"g.txt": SMALL_GRAPH}, ["oracle", "--graph", "g.txt", "--k", "99"], 2),

@@ -289,6 +289,20 @@ def test_parse_rejects_saturation_of_an_empty_stack():
     assert err.value.line_no == 3
 
 
+@pytest.mark.parametrize("step,message", [
+    ("l +1", "'l' expects a 1-based index, got '+1'"),
+    ("c +1 0", "'c' expects '<id> 0'"),
+    ("p +1 0", "bad constraint id '+1'"),
+    ("p -1 0", "bad constraint id '-1'"),
+    ("p 0 0", "bad constraint id '0'"),
+])
+def test_parse_reads_constraint_ids_as_unsigned_digits(step, message):
+    # a signed id is malformed in every step that names one
+    with pytest.raises(ProofParseError) as err:
+        parse_proof(f"pseudo-Boolean proof version 1.0\nl 1\n{step}\n")
+    assert str(err.value) == f"line 3: {message}"
+
+
 def test_verify_rejects_multiplication_by_zero(example):
     # 0 * C is trivially sound, but the rule allows only positive multipliers
     with pytest.raises(VerifyError, match="multiplier must be positive, got 0") as err:
