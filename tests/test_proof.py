@@ -169,11 +169,19 @@ def test_parse_fixture_steps():
     assert steps[-1].arg == 14
 
 
+def test_parse_skips_blank_and_comment_lines():
+    spaced = "* before the header\n\n" + EXAMPLE_UNSAT_PROOF.replace("\n", "\n\n  * note\n")
+    steps = parse_proof(spaced)
+    assert [s[::2] for s in steps] == [s[::2] for s in parse_proof(EXAMPLE_UNSAT_PROOF)]
+    assert steps[1].line_no == 6
+
+
 def test_parse_requires_header():
     with pytest.raises(ProofParseError, match="expected header"):
         parse_proof("l 1\n")
-    with pytest.raises(ProofParseError, match="missing header"):
+    with pytest.raises(ProofParseError, match="missing header") as err:
         parse_proof("")
+    assert err.value.line_no == 1
 
 
 def test_parse_rejects_malformed_rpn():
@@ -292,6 +300,7 @@ def test_parse_rejects_saturation_of_an_empty_stack():
 @pytest.mark.parametrize("step,message", [
     ("l +1", "'l' expects a 1-based index, got '+1'"),
     ("c +1 0", "'c' expects '<id> 0'"),
+    ("c 00 0", "'c' expects a 1-based id, got '00'"),
     ("p +1 0", "bad constraint id '+1'"),
     ("p -1 0", "bad constraint id '-1'"),
     ("p 0 0", "bad constraint id '0'"),
@@ -301,6 +310,11 @@ def test_parse_reads_constraint_ids_as_unsigned_digits(step, message):
     with pytest.raises(ProofParseError) as err:
         parse_proof(f"pseudo-Boolean proof version 1.0\nl 1\n{step}\n")
     assert str(err.value) == f"line 3: {message}"
+
+
+def test_parse_takes_id_1_in_every_step():
+    steps = parse_proof("pseudo-Boolean proof version 1.0\nl 1\np 1 0\nc 1 0\n")
+    assert [s.arg for s in steps[1:]] == [1, (("id", 1),), 1]
 
 
 def test_verify_rejects_multiplication_by_zero(example):

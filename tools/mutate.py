@@ -3,9 +3,10 @@
     python tools/mutate.py WORKDIR src/sbgkit/oracle.py count_ics _hit_words \
         --tests tests/test_oracle.py
 
-WORKDIR must be a directory outside the checkout; src/ and tests/ are copied
-into WORKDIR/tree and each mutant of the module is written there, so the
-checkout itself is never changed.  Each mutant changes one site in one of
+WORKDIR must be a directory outside the checkout; src/, tests/ and what the
+tests read besides (demos/ and README.md) are copied into WORKDIR/tree and
+each mutant of the module is written there, so the checkout itself is never
+changed.  Each mutant changes one site in one of
 the named functions (a nested function or method by its dotted name):
 
 - a comparison swapped: ``<`` and ``<=``, ``>`` and ``>=``, ``==`` and
@@ -191,9 +192,10 @@ def main(argv=None) -> int:
     tree = workdir / "tree"
     if tree.exists():
         shutil.rmtree(tree)
-    for part in ("src", "tests"):
+    for part in ("src", "tests", "demos"):
         shutil.copytree(ROOT / part, tree / part,
                         ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "README.md", tree)
     target = tree / args.module
     source = (ROOT / args.module).read_text()
 
