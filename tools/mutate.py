@@ -6,8 +6,8 @@
 WORKDIR must be a directory outside the checkout; src/, tests/ and what the
 tests read besides (demos/ and README.md) are copied into WORKDIR/tree and
 each mutant of the module is written there, so the checkout itself is never
-changed.  Each mutant changes one site in one of
-the named functions (a nested function or method by its dotted name):
+changed.  Each mutant changes one site in one of the named functions (a
+nested function or method by its dotted name):
 
 - a comparison swapped: ``<`` and ``<=``, ``>`` and ``>=``, ``==`` and
   ``!=``, ``is`` and ``is not``, ``in`` and ``not in``;
