@@ -12,13 +12,18 @@ Every step that produces a constraint (u, l, p) is stored under the next
 sequential id starting at 1.  RPN tokens: a constraint id pushes a copy of
 that constraint; ``x7``/``~x7`` pushes the literal axiom ``lit >= 0``; ``+``
 pops two constraints and pushes their sum; ``<int> *`` and ``<int> d``
-multiply/divide the top by a positive integer; ``s`` saturates the top.
+multiply/divide the top by a positive integer written as unsigned digits;
+``s`` saturates the top.
 Deletion directives and the richer redundance-style rules of newer formats
 are recognized and rejected loudly, never skipped.
 
 The verifier is a route of its own and imports only the data model and OPB
 parsing from encode.  Its RupChecker checks ``u`` steps on literal bitmasks
-of its own, sharing no code with the solver's search engine in solve.
+of its own, sharing no code with the solver's search engine in solve.  A
+check propagates the newest constraint first: the negated step, then the
+latest stored steps, which in a DFS refutation are the children whose
+clauses conflict.  Propagation reaches the same fixpoint, or a conflict, in
+any order, so the order changes the work and never the verdict.
 """
 
 from __future__ import annotations
@@ -30,12 +35,12 @@ from .encode import (
     LinearConstraint,
     Literal,
     PBFormula,
-    from_signed,
     normalize,
     parse_constraint_tokens,
     OpbError,
     _TooLong,
     _is_digits,
+    _literal,
     _read_int,
     _read_literal,
     _to_int,
@@ -116,9 +121,15 @@ def saturate(c: LinearConstraint) -> LinearConstraint:
 
 
 def negation_of(c: LinearConstraint) -> LinearConstraint:
-    """The constraint satisfied exactly when *c* is violated."""
-    items, rhs = c.signed_items()
-    return from_signed({var: -coef for coef, var in items}, 1 - rhs)
+    """The constraint satisfied exactly when *c* is violated.
+
+    ``sum a_i l_i <= d - 1`` reads ``sum a_i ~l_i >= sum a_i - d + 1`` once
+    each ``l_i`` is written ``1 - ~l_i``.
+    """
+    return LinearConstraint(
+        tuple((coef, _literal(lit.var, not lit.negated)) for coef, lit in c.terms),
+        sum(coef for coef, _ in c.terms) - c.degree + 1,
+    )
 
 
 # -- proof steps ---------------------------------------------------------------
@@ -136,10 +147,10 @@ def _parse_polish(tokens: Sequence[str], line_no: int) -> tuple[tuple[str, objec
     """Typed RPN ops for a ``p`` body, with the stack discipline checked.
 
     Ops are ``("id", cid)``, ``("lit", Literal)``, ``("+", None)``,
-    ``("s", None)`` and ``("*", k)``/``("d", k)``; the sign of k is checked
-    at replay.  Repeated-variable products (nonlinear terms) cannot be
-    expressed in this grammar at all, so the idempotence axiom never comes
-    into play.
+    ``("s", None)`` and ``("*", k)``/``("d", k)``.  Like an id, k is
+    unsigned digits; k = 0 parses and is rejected at replay.
+    Repeated-variable products (nonlinear terms) cannot be expressed in this
+    grammar at all, so the idempotence axiom never comes into play.
     """
     ops: list[tuple[str, object]] = []
     depth = 0
@@ -151,6 +162,9 @@ def _parse_polish(tokens: Sequence[str], line_no: int) -> tuple[tuple[str, objec
         if value is not None and lookahead in ("*", "d"):
             if depth < 1:
                 raise ProofParseError(line_no, f"'{lookahead}' with empty stack")
+            if not _is_digits(tok):
+                name = "multiplier" if lookahead == "*" else "divisor"
+                raise ProofParseError(line_no, f"bad {name} {tok!r}")
             ops.append((lookahead, value))
             i += 2
             continue
@@ -258,7 +272,9 @@ class RupChecker:
     literals and the constraints that one true literal satisfies alone.
     ``refutes`` propagates the assumption from that snapshot and throws the
     result away, so there is no trail and no undo, and a check costs only
-    the constraints it touches.  Its verdict equals
+    the constraints it touches.  Pending constraints are taken newest
+    first, so the assumption, attached last, runs first, followed by the
+    latest steps of the proof.  Its verdict equals
     ``solve.root_fixpoint(...) is None`` over the stored constraints plus
     the assumption, which the tests check.
     """
@@ -325,15 +341,19 @@ class RupChecker:
         Returns the fixpoint's ``(false, sat)``, or None on a conflict.  The
         constraints in *sat* are skipped: one true literal with coef >= degree
         leaves slack >= every coefficient that is not false, so such a
-        constraint can neither conflict nor force.
+        constraint can neither conflict nor force.  The highest pending index
+        goes first.  The order cannot change the result: a literal that a
+        constraint forces stays forced as more literals become false, so
+        every order forces only literals of the same least fixpoint and ends
+        either there or at a constraint in conflict there.
         """
         cons, occ, sat_by = self._cons, self._occ, self._sat_by
         even = ((1 << 2 * len(self._bit)) - 1) // 3  # the plain literals
         todo &= ~sat
         while todo:
-            low = todo & -todo
-            todo ^= low
-            degree, groups = cons[low.bit_length() - 1]
+            ci = todo.bit_length() - 1
+            todo ^= 1 << ci
+            degree, groups = cons[ci]
             open_ = ~false
             slack = -degree
             for coef, m in groups:

@@ -238,6 +238,12 @@ REPROS = [
      ["verify", "ex.opb", "p.pbp"], 2),
     ("signed p id", {"p.pbp": PROOF_HEADER + "l 1\np +1 0\n"},
      ["verify", "ex.opb", "p.pbp"], 2),
+    ("signed p multiplier", {"p.pbp": PROOF_HEADER + "l 1\np 1 +2 * 0\n"},
+     ["verify", "ex.opb", "p.pbp"], 2),
+    ("signed p divisor", {"p.pbp": PROOF_HEADER + "l 1\np 1 -2 d 0\n"},
+     ["verify", "ex.opb", "p.pbp"], 2),
+    ("zero p divisor", {"p.pbp": PROOF_HEADER + "l 1\np 1 0 d 0\n"},
+     ["verify", "ex.opb", "p.pbp"], 1),
     ("negative budget", {"g.txt": SMALL_GRAPH},
      ["encode", "--graph", "g.txt", "--budget", "-1", "--out", "o.opb"], 2),
     ("oracle k beyond n", {"g.txt": SMALL_GRAPH}, ["oracle", "--graph", "g.txt", "--k", "99"], 2),

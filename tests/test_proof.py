@@ -153,6 +153,30 @@ def test_negation_of():
         assert flipped == models(LinearConstraint((), 0), n) - models(c, n)
 
 
+def test_negation_of_a_trivially_true_constraint_has_no_models():
+    for c in (
+        LinearConstraint(((2, pos(1)), (1, neg(2))), 0),
+        LinearConstraint(((1, pos(1)),), -3),
+        LinearConstraint((), 0),
+    ):
+        assert c.trivially_true
+        assert models(negation_of(c), 2) == set()
+
+
+def test_negation_of_the_empty_contradiction_is_trivially_true():
+    negation = negation_of(LinearConstraint((), 1))
+    assert negation == LinearConstraint((), 0)
+    assert negation.trivially_true
+
+
+def test_negation_of_twice_keeps_the_models():
+    rng = random.Random(12)
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        c = random_constraint(rng, n)
+        assert models(negation_of(negation_of(c)), n) == models(c, n)
+
+
 # -- proof parsing -----------------------------------------------------------------
 
 
@@ -240,6 +264,11 @@ def test_verify_requires_contradiction_claim(example):
     steps = parse_proof("pseudo-Boolean proof version 1.0\n")
     with pytest.raises(VerifyError, match="without a contradiction"):
         verify(example, steps)
+    # the error names the last step's line, and line 1 when there is none
+    for steps, line in ((parse_proof("pseudo-Boolean proof version 1.0\nl 1\nl 2\n"), 3), ([], 1)):
+        with pytest.raises(VerifyError, match="without a contradiction") as err:
+            verify(example, steps)
+        assert err.value.line_no == line
 
 
 def test_verify_rejects_claim_on_satisfiable_constraint(example):
@@ -304,9 +333,14 @@ def test_parse_rejects_saturation_of_an_empty_stack():
     ("p +1 0", "bad constraint id '+1'"),
     ("p -1 0", "bad constraint id '-1'"),
     ("p 0 0", "bad constraint id '0'"),
+    ("p 1 +2 * 0", "bad multiplier '+2'"),
+    ("p 1 -2 * 0", "bad multiplier '-2'"),
+    ("p 1 +2 d 0", "bad divisor '+2'"),
+    ("p 1 -2 d 0", "bad divisor '-2'"),
 ])
 def test_parse_reads_constraint_ids_as_unsigned_digits(step, message):
-    # a signed id is malformed in every step that names one
+    # a signed id is malformed in every step that names one, and so is a
+    # signed multiplier or divisor
     with pytest.raises(ProofParseError) as err:
         parse_proof(f"pseudo-Boolean proof version 1.0\nl 1\n{step}\n")
     assert str(err.value) == f"line 3: {message}"
@@ -425,6 +459,43 @@ def test_rup_through_a_false_negated_literal():
     negation = negation_of(LinearConstraint(((1, neg(3)),), 1))
     assert root_fixpoint(clauses + [negation]) is None
     assert checker.refutes(negation)
+
+
+def _visits(checker):
+    """The constraint indices the checker reads from now on, in order."""
+    visits = []
+
+    class CountingList(list):
+        def __getitem__(self, index):
+            visits.append(index)
+            return super().__getitem__(index)
+
+    checker._cons = CountingList(checker._cons)
+    return visits
+
+
+def test_rup_propagates_the_newest_constraint_first():
+    # 200 clauses x1 + x_i, then x1 + x2 and x1 + ~x2: assuming ~x1, the
+    # check visits the assumption and the two newest clauses, which conflict,
+    # and none of the 200 older clauses that x1 false also wakes
+    checker = RupChecker()
+    for i in range(3, 203):
+        checker.store(LinearConstraint(((1, pos(1)), (1, pos(i))), 1))
+    checker.store(LinearConstraint(((1, pos(1)), (1, pos(2))), 1))
+    checker.store(LinearConstraint(((1, pos(1)), (1, neg(2))), 1))
+    visits = _visits(checker)
+    assert checker.refutes(negation_of(LinearConstraint(((1, pos(1)),), 1)))
+    assert visits == [202, 201, 200]
+
+
+def test_rup_skips_a_constraint_that_a_true_literal_satisfies():
+    # assuming x2 and ~x3, x3 false does not wake x2 + x3 >= 1, which x2
+    # alone satisfies
+    checker = RupChecker()
+    checker.store(LinearConstraint(((1, pos(2)), (1, pos(3))), 1))
+    visits = _visits(checker)
+    assert not checker.refutes(LinearConstraint(((1, pos(2)), (1, neg(3))), 2))
+    assert visits == [1]
 
 
 def test_refutes_leaves_the_checker_as_it_was():

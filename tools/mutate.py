@@ -62,6 +62,25 @@ EQUIVALENT = [
      "fewest.append((count, (smallest & -smallest).bit_length() - 1))", 0,
      "fewest.append((count, (smallest | -smallest).bit_length() - 1))",
      "smallest | -smallest is minus its lowest bit, and bit_length ignores the sign"),
+    ("src/sbgkit/proof.py", "RupChecker._attach", "self._occ += (0, 0)", 0,
+     "self._occ += (1, 0)",
+     "a new plain literal also lists constraint 0, which is then propagated again "
+     "when the literal becomes false: more work, the same fixpoint"),
+    ("src/sbgkit/proof.py", "RupChecker._attach", "self._occ += (0, 0)", 0,
+     "self._occ += (0, 1)",
+     "a new negated literal also lists constraint 0, which is then propagated again "
+     "when the literal becomes false: more work, the same fixpoint"),
+    ("src/sbgkit/proof.py", "RupChecker._propagate", "slack >= groups[0][0]", 0,
+     "slack > groups[0][0]",
+     "at slack equal to the largest coefficient no coefficient exceeds the slack, "
+     "so the loop that follows forces nothing"),
+    ("src/sbgkit/proof.py", "RupChecker._propagate",
+     "even = ((1 << 2 * len(self._bit)) - 1) // 3", 0,
+     "even = ((1 << 2 * len(self._bit)) + 1) // 3",
+     "4**n - 1 is a multiple of 3, so adding 2 to it leaves the quotient by 3 as it is"),
+    ("src/sbgkit/proof.py", "verify", "last_line = 0", 0, "last_line = 1",
+     "last_line is read only through last_line or 1, which is 1 either way when no "
+     "step ran"),
 ]
 
 _SWAPS = {
