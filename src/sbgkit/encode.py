@@ -135,7 +135,7 @@ def from_signed(signed: Mapping[int, int], rhs: int) -> LinearConstraint:
     return LinearConstraint(tuple(out), degree)
 
 
-_RELATIONS = ("=", "<=", ">=", "<", ">")
+_RELATIONS = frozenset(("=", "<=", ">=", "<", ">"))
 
 
 def normalize(
@@ -399,10 +399,17 @@ def parse_constraint_tokens(
     handed to the relation step that normalize uses, so the result equals
     ``normalize`` of the written terms.
     """
-    rel_positions = [i for i, t in enumerate(tokens) if t in _RELATIONS]
-    if len(rel_positions) != 1:
-        raise OpbError(line_no, "expected exactly one relational operator")
-    k = rel_positions[0]
+    k = len(tokens) - 2
+    # the one well-formed shape, a single relation just before the degree,
+    # skips the scan; every other shape is scanned for the error it raises
+    if not (
+        k >= 0 and tokens[k] in _RELATIONS and tokens[-1] not in _RELATIONS
+        and _RELATIONS.isdisjoint(tokens[:k])
+    ):
+        rel_positions = [i for i, t in enumerate(tokens) if t in _RELATIONS]
+        if len(rel_positions) != 1:
+            raise OpbError(line_no, "expected exactly one relational operator")
+        k = rel_positions[0]
     relation = tokens[k]
     if relation not in (">=", "="):
         raise OpbError(line_no, f"unsupported relation {relation!r}")

@@ -19,11 +19,12 @@ are recognized and rejected loudly, never skipped.
 
 The verifier is a route of its own and imports only the data model and OPB
 parsing from encode.  Its RupChecker checks ``u`` steps on literal bitmasks
-of its own, sharing no code with the solver's search engine in solve.  A
-check propagates the newest constraint first: the negated step, then the
-latest stored steps, which in a DFS refutation are the children whose
-clauses conflict.  Propagation reaches the same fixpoint, or a conflict, in
-any order, so the order changes the work and never the verdict.
+of its own, sharing no code with the solver's search engine in solve.  It
+indexes each ``u`` step once, for its check and its storage.  A check
+propagates the newest constraint first: the latest stored steps, which in a
+DFS refutation are the children whose clauses conflict.  Propagation
+reaches the same fixpoint, or a conflict, in any order, so the order
+changes the work and never the verdict.
 """
 
 from __future__ import annotations
@@ -124,7 +125,8 @@ def negation_of(c: LinearConstraint) -> LinearConstraint:
     """The constraint satisfied exactly when *c* is violated.
 
     ``sum a_i l_i <= d - 1`` reads ``sum a_i ~l_i >= sum a_i - d + 1`` once
-    each ``l_i`` is written ``1 - ~l_i``.
+    each ``l_i`` is written ``1 - ~l_i``.  It is the rule the tests hold
+    ``RupChecker.derive``'s swapped-bit negation to.
     """
     return LinearConstraint(
         tuple((coef, _literal(lit.var, not lit.negated)) for coef, lit in c.terms),
@@ -265,16 +267,18 @@ class RupChecker:
 
     The i-th variable the checker meets gets literal bits ``2 * i`` (plain)
     and ``2 * i + 1`` (negated), so a proof that names ``x4000000000`` costs
-    two bits, not a mask as wide as the id.  A constraint is its degree and
-    ``[(coef, literal mask)]``, largest coefficient first, and bit ``ci`` of
-    a constraint mask stands for constraint ``ci``.  The stored constraints
-    are held at their root propagation fixpoint as two ints: the false
-    literals and the constraints that one true literal satisfies alone.
-    ``refutes`` propagates the assumption from that snapshot and throws the
-    result away, so there is no trail and no undo, and a check costs only
-    the constraints it touches.  Pending constraints are taken newest
-    first, so the assumption, attached last, runs first, followed by the
-    latest steps of the proof.  Its verdict equals
+    two bits, not a mask as wide as the id.  A constraint is indexed once,
+    as its degree and ``[(coef, literal mask)]``, largest coefficient first,
+    and bit ``ci`` of a constraint mask stands for constraint ``ci``.  The
+    stored constraints are held at their root propagation fixpoint as two
+    ints: the false literals and the constraints that one true literal
+    satisfies alone.  A check fires the assumption at that snapshot,
+    propagates and throws the result away, so there is no trail and no
+    undo, and a check costs only the constraints it touches.  The assumption
+    is attached only when that first firing forces some of its literals and
+    leaves others free; with none free, as for the negation of a clause, it
+    can never fire again.  Pending constraints are taken newest first, so
+    the latest steps of the proof run first.  Its verdict equals
     ``solve.root_fixpoint(...) is None`` over the stored constraints plus
     the assumption, which the tests check.
     """
@@ -284,6 +288,7 @@ class RupChecker:
         self._cons: list[tuple[int, list[tuple[int, int]]]] = []  # (degree, groups)
         self._occ: list[int] = []  # per literal: the constraints containing it
         self._sat_by: list[int] = []  # per literal: the constraints it satisfies alone
+        self._even = 0  # the plain literals
         self._false = self._sat = 0  # the root fixpoint
         # Once the stored constraints conflict, every assumption is refuted:
         # a fresh propagation over more constraints still reaches a conflict.
@@ -291,52 +296,105 @@ class RupChecker:
 
     def store(self, c: LinearConstraint) -> None:
         """Keep *c* for every later check."""
-        if self._conflict or c.trivially_true:
-            return
-        fixpoint = self._propagate(self._false, self._sat, self._attach(c))
+        if not (self._conflict or c.trivially_true):
+            self._store(c.degree, self._index(c))
+
+    def refutes(self, assumption: LinearConstraint) -> bool:
+        """True iff propagation refutes the stored constraints plus
+        *assumption*, which is not kept."""
+        known = len(self._bit)
+        refuted = self._conflict or self._refutes(assumption.degree, self._index(assumption))
+        self._forget(known)
+        return refuted
+
+    def derive(self, c: LinearConstraint) -> bool:
+        """``refutes(negation_of(c))``, then ``store(c)`` if it holds.  The
+        negation is the groups of *c* with each literal bit swapped."""
+        known = len(self._bit)
+        groups = self._index(c)
+        even = self._even
+        negation = [(coef, (m & even) << 1 | m >> 1 & even) for coef, m in groups]
+        size = sum(coef * m.bit_count() for coef, m in groups)
+        refuted = self._conflict or self._refutes(size - c.degree + 1, negation)
+        if refuted and not (self._conflict or c.trivially_true):
+            self._store(c.degree, groups)
+        else:
+            self._forget(known)
+        return refuted
+
+    def _index(self, c: LinearConstraint) -> list[tuple[int, int]]:
+        """The coefficient groups of *c*, giving its new variables bits."""
+        groups: dict[int, int] = {}
+        for coef, lit in c.terms:
+            b = self._bit.get(lit.var)
+            if b is None:
+                b = self._bit[lit.var] = len(self._occ)
+                self._even |= 1 << b
+                self._occ += (0, 0)
+                self._sat_by += (0, 0)
+            groups[coef] = groups.get(coef, 0) | 1 << b + lit.negated
+        return sorted(groups.items(), reverse=True)
+
+    def _forget(self, known: int) -> None:
+        """Drop the variables after the first *known*."""
+        while len(self._bit) > known:
+            self._bit.popitem()
+        self._even &= (1 << 2 * known) - 1
+        del self._occ[2 * known:], self._sat_by[2 * known:]
+
+    def _flip(self, degree: int, groups: list[tuple[int, int]], bit: int) -> None:
+        """Attach constraint *bit* to its literals, or detach it."""
+        occ, sat_by = self._occ, self._sat_by
+        for coef, m in groups:
+            while m:
+                low = m & -m
+                m ^= low
+                l = low.bit_length() - 1
+                occ[l] ^= bit
+                if coef >= degree:
+                    sat_by[l] ^= bit
+
+    def _store(self, degree: int, groups: list[tuple[int, int]]) -> None:
+        """Attach (degree, groups) for good and move the snapshot to its fixpoint."""
+        bit = 1 << len(self._cons)
+        self._flip(degree, groups, bit)
+        self._cons.append((degree, groups))
+        fixpoint = self._propagate(self._false, self._sat, 0, bit)
         if fixpoint is None:
             self._conflict = True
         else:
             self._false, self._sat = fixpoint
 
-    def refutes(self, assumption: LinearConstraint) -> bool:
-        """True iff propagation refutes the stored constraints plus *assumption*."""
-        if self._conflict:
+    def _refutes(self, degree: int, groups: list[tuple[int, int]]) -> bool:
+        """The check: first firing at the snapshot, then propagation."""
+        false, even = self._false, self._even
+        slack = -degree
+        for coef, m in groups:
+            slack += coef * (m & ~false).bit_count()
+        if slack < 0:
             return True
-        if assumption.trivially_true:
-            return False
-        known = len(self._bit)
-        bit = self._attach(assumption)
-        refuted = self._propagate(self._false, self._sat, bit) is None
+        free = ~(false | (false & even) << 1 | false >> 1 & even)
+        forced = left = 0
+        for coef, m in groups:
+            if coef > slack:
+                forced |= m & free
+            else:
+                left |= m & free
+        # forcing nothing leaves the snapshot, a fixpoint, as it is; with no
+        # literal left free, it can never fire again and need not be attached
+        if not (forced and left):
+            return self._propagate(false, self._sat, forced, 0) is None
+        bit = 1 << len(self._cons)
+        self._flip(degree, groups, bit)
+        self._cons.append((degree, groups))
+        refuted = self._propagate(false, self._sat, forced, 0) is None
         self._cons.pop()
-        for _, lit in assumption.terms:
-            l = self._bit[lit.var] + lit.negated
-            self._occ[l] &= ~bit
-            self._sat_by[l] &= ~bit
-        while len(self._bit) > known:  # forget the variables it introduced
-            self._bit.popitem()
-        del self._occ[2 * known:], self._sat_by[2 * known:]
+        self._flip(degree, groups, bit)
         return refuted
 
-    def _attach(self, c: LinearConstraint) -> int:
-        """Index *c*, which is not trivially true; its constraint bit."""
-        bit = 1 << len(self._cons)
-        groups: dict[int, int] = {}
-        for coef, lit in c.terms:
-            if lit.var not in self._bit:
-                self._bit[lit.var] = len(self._occ)
-                self._occ += (0, 0)
-                self._sat_by += (0, 0)
-            l = self._bit[lit.var] + lit.negated
-            groups[coef] = groups.get(coef, 0) | 1 << l
-            self._occ[l] |= bit
-            if coef >= c.degree:
-                self._sat_by[l] |= bit
-        self._cons.append((c.degree, sorted(groups.items(), reverse=True)))
-        return bit
-
-    def _propagate(self, false: int, sat: int, todo: int) -> tuple[int, int] | None:
-        """Propagate the constraints in *todo* to fixpoint from *false*, *sat*.
+    def _propagate(self, false: int, sat: int, forced: int, todo: int) -> tuple[int, int] | None:
+        """Make the free literals in *forced* true, then propagate them and
+        the constraints in *todo* to fixpoint from *false*, *sat*.
 
         Returns the fixpoint's ``(false, sat)``, or None on a conflict.  The
         constraints in *sat* are skipped: one true literal with coef >= degree
@@ -348,9 +406,19 @@ class RupChecker:
         either there or at a constraint in conflict there.
         """
         cons, occ, sat_by = self._cons, self._occ, self._sat_by
-        even = ((1 << 2 * len(self._bit)) - 1) // 3  # the plain literals
-        todo &= ~sat
-        while todo:
+        even = self._even
+        while True:
+            if forced:
+                false |= (forced & even) << 1 | forced >> 1 & even
+                while forced:
+                    low = forced & -forced
+                    forced ^= low
+                    l = low.bit_length() - 1
+                    todo |= occ[l ^ 1]
+                    sat |= sat_by[l]
+                todo &= ~sat
+            if not todo:
+                return false, sat
             ci = todo.bit_length() - 1
             todo ^= 1 << ci
             degree, groups = cons[ci]
@@ -362,22 +430,12 @@ class RupChecker:
                 return None
             if slack >= groups[0][0]:
                 continue
-            forced = 0
             for coef, m in groups:
                 if coef <= slack:
                     break
                 forced |= m
             true = (false & even) << 1 | false >> 1 & even
             forced &= ~(false | true)
-            false |= (forced & even) << 1 | forced >> 1 & even
-            while forced:
-                low = forced & -forced
-                forced ^= low
-                l = low.bit_length() - 1
-                todo |= occ[l ^ 1]
-                sat |= sat_by[l]
-            todo &= ~sat
-        return false, sat
 
 
 # -- verification --------------------------------------------------------------
@@ -426,9 +484,10 @@ def verify(f: PBFormula, steps: Iterable[ProofStep]) -> Verification:
 
     ``u`` steps are checked by reverse propagation: the negated constraint
     is added to everything derived so far and counting propagation must run
-    into a conflict, checked on one RupChecker for the whole proof.  The
-    final claim succeeds only when the referenced constraint normalizes to
-    ``0 >= d`` with d >= 1.
+    into a conflict, checked by ``RupChecker.derive`` on one checker for the
+    whole proof, which indexes the step once for the check and its storage.
+    The final claim succeeds only when the referenced constraint normalizes
+    to ``0 >= d`` with d >= 1.
     """
     constraints: dict[int, LinearConstraint] = {}
     ids = count(1)
@@ -453,11 +512,11 @@ def verify(f: PBFormula, steps: Iterable[ProofStep]) -> Verification:
                 )
             store(f.constraints[arg - 1])
         elif kind == "rup":
-            if not rup.refutes(negation_of(arg)):
+            if not rup.derive(arg):
                 raise VerifyError(
                     line_no, "u", f"propagation does not refute the negation of '{arg}'"
                 )
-            store(arg)
+            constraints[next(ids)] = arg
         elif kind == "polish":
             store(_replay_polish(arg, constraints, line_no))
         elif kind == "contradiction":

@@ -328,6 +328,8 @@ PARSER_ERRORS = [
     # (case, constraint body without ';', message, raised by parse_opb too)
     ("no relation", "+1 x1 1", "expected exactly one relational operator", True),
     ("two relations", "+1 x1 >= 1 >= 1", "expected exactly one relational operator", True),
+    ("adjacent relations", "+1 x1 >= >= 1", "expected exactly one relational operator", True),
+    ("relation for a degree", "+1 x1 >= >=", "expected exactly one relational operator", True),
     ("unsupported relation", "+1 x1 <= 1", "unsupported relation '<='", True),
     ("strict relation", "+1 x1 > 0", "unsupported relation '>'", True),
     ("equality", "+1 x1 = 1", "equality not allowed here", False),

@@ -2,6 +2,7 @@ import copy
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -377,12 +378,35 @@ def _mixed(rng, n):
     return random_constraint(rng, n, max_terms=4)
 
 
+def _path_counting_checker():
+    """A RupChecker subclass and a Counter of its checks: "attached" when
+    the assumption was attached for propagation, "unattached" when not.  The
+    counts live outside the checker, whose state some tests compare."""
+    paths, flips = Counter(), []
+
+    class PathCountingChecker(RupChecker):
+        def _flip(self, *args):
+            flips.append(args)
+            super()._flip(*args)
+
+        def _refutes(self, *args):
+            flips.clear()
+            refuted = super()._refutes(*args)
+            paths["attached" if flips else "unattached"] += 1
+            return refuted
+
+    return PathCountingChecker, paths
+
+
 def _agreement_with_root_fixpoint(
     seed, ids_for, draw=_mixed, sizes=(1, 7), lengths=(1, 8), p_store=0.4
 ):
     # random store / u sequences of draw(rng, n) over variables ids_for(rng, n);
-    # every verdict against root_fixpoint, which sees the same ids as the checker
+    # every verdict against root_fixpoint, which sees the same ids as the
+    # checker; each u step is checked by refutes on its negation, then by
+    # derive, which checks the step's swapped-bit negation and keeps the step
     rng = random.Random(seed)
+    checker_type, paths = _path_counting_checker()
     verdicts = {True: 0, False: 0}
     root_conflicts = 0
     for _ in range(1500):
@@ -393,7 +417,7 @@ def _agreement_with_root_fixpoint(
             terms = tuple((coef, Literal(ids[lit.var - 1], lit.negated)) for coef, lit in c.terms)
             return LinearConstraint(terms, c.degree)
 
-        checker = RupChecker()
+        checker = checker_type()
         stored = []
         for _ in range(rng.randint(*lengths)):
             c = mapped(draw(rng, n))
@@ -404,43 +428,49 @@ def _agreement_with_root_fixpoint(
             negation = negation_of(c)
             verdict = checker.refutes(negation)
             assert verdict == (root_fixpoint(stored + [negation]) is None), (stored, c)
+            assert checker.derive(c) == verdict, (stored, c)
             # once the stored constraints conflict, refutes answers True
             # without propagating, so only the checks before that count
             if root_fixpoint(stored) is not None:
                 verdicts[verdict] += 1
             if verdict:
-                checker.store(c)
                 stored.append(c)
         root_conflicts += root_fixpoint(stored) is None
-    return verdicts, root_conflicts
+    return verdicts, root_conflicts, paths
 
 
 def test_rup_checker_agrees_with_fresh_propagation():
-    verdicts, root_conflicts = _agreement_with_root_fixpoint(7, lambda rng, n: range(1, n + 1))
+    verdicts, root_conflicts, paths = _agreement_with_root_fixpoint(
+        7, lambda rng, n: range(1, n + 1)
+    )
     assert min(verdicts.values()) > 1000, verdicts
     assert root_conflicts > 50, root_conflicts
+    assert min(paths["attached"], paths["unattached"]) > 300, paths
 
 
 def test_rup_checker_agrees_on_sparse_huge_variable_ids():
     # as above, with the variables mapped through a random injection into
     # 1..10**12; the dict-based reference sees the huge ids directly
-    verdicts, root_conflicts = _agreement_with_root_fixpoint(
+    verdicts, root_conflicts, paths = _agreement_with_root_fixpoint(
         8, lambda rng, n: rng.sample(range(1, 10**12 + 1), n)
     )
     assert min(verdicts.values()) > 1000, verdicts
     assert root_conflicts > 50, root_conflicts
+    assert min(paths["attached"], paths["unattached"]) > 300, paths
 
 
 def test_rup_checker_agrees_with_fresh_propagation_on_clauses():
     # longer sequences of short clauses over few variables: a checker that
     # misreads which literals a false negated literal makes true withholds
-    # forced literals here, which the mixed sequences above almost never show
-    verdicts, root_conflicts = _agreement_with_root_fixpoint(
+    # forced literals here, which the mixed sequences above almost never show;
+    # the negation of a clause leaves no literal free, so none is attached
+    verdicts, root_conflicts, paths = _agreement_with_root_fixpoint(
         9, lambda rng, n: range(1, n + 1), draw=random_clause,
         sizes=(3, 6), lengths=(4, 16), p_store=0.7,
     )
     assert min(verdicts.values()) > 1000, verdicts
     assert root_conflicts > 300, root_conflicts
+    assert paths["attached"] == 0 and paths["unattached"] > 300, paths
 
 
 def test_rup_through_a_false_negated_literal():
@@ -476,8 +506,9 @@ def _visits(checker):
 
 def test_rup_propagates_the_newest_constraint_first():
     # 200 clauses x1 + x_i, then x1 + x2 and x1 + ~x2: assuming ~x1, the
-    # check visits the assumption and the two newest clauses, which conflict,
-    # and none of the 200 older clauses that x1 false also wakes
+    # check visits the two newest clauses, which conflict, and none of the
+    # 200 older clauses that x1 false also wakes; the assumption, the
+    # negation of a clause, fires at the snapshot and is never visited
     checker = RupChecker()
     for i in range(3, 203):
         checker.store(LinearConstraint(((1, pos(1)), (1, pos(i))), 1))
@@ -485,7 +516,7 @@ def test_rup_propagates_the_newest_constraint_first():
     checker.store(LinearConstraint(((1, pos(1)), (1, neg(2))), 1))
     visits = _visits(checker)
     assert checker.refutes(negation_of(LinearConstraint(((1, pos(1)),), 1)))
-    assert visits == [202, 201, 200]
+    assert visits == [201, 200]
 
 
 def test_rup_skips_a_constraint_that_a_true_literal_satisfies():
@@ -495,27 +526,75 @@ def test_rup_skips_a_constraint_that_a_true_literal_satisfies():
     checker.store(LinearConstraint(((1, pos(2)), (1, pos(3))), 1))
     visits = _visits(checker)
     assert not checker.refutes(LinearConstraint(((1, pos(2)), (1, neg(3))), 2))
-    assert visits == [1]
+    assert visits == []
+
+
+def test_rup_attaches_an_assumption_that_keeps_a_free_literal():
+    # 2 x1 + x2 + x3 >= 3 forces x1 and leaves x2 and x3 free, so it is
+    # attached: x1 makes x3 false, which wakes it to force x2, and then
+    # ~x1 + ~x2 has no true literal left
+    checker_type, paths = _path_counting_checker()
+    checker = checker_type()
+    stored = [
+        LinearConstraint(((1, neg(1)), (1, neg(2))), 1),
+        LinearConstraint(((1, neg(1)), (1, neg(3))), 1),
+    ]
+    for c in stored:
+        checker.store(c)
+    assumption = LinearConstraint(((2, pos(1)), (1, pos(2)), (1, pos(3))), 3)
+    visits = _visits(checker)
+    assert checker.refutes(assumption)
+    assert root_fixpoint(stored + [assumption]) is None
+    assert visits == [1, 2, 0] and paths == {"attached": 1}
+    # alone it forces x1 and propagates to a fixpoint, still attached, and
+    # is not visited again since none of its literals becomes false
+    alone = checker_type()
+    visits = _visits(alone)
+    assert not alone.refutes(assumption)
+    assert root_fixpoint([assumption]) is not None
+    assert visits == [] and paths == {"attached": 2}
+    # 2 x1 + x3 >= 2 with x3 true at the root forces x1 and leaves no literal
+    # free, so it is not attached
+    alone.store(LinearConstraint(((1, pos(3)),), 1))
+    assert not alone.refutes(LinearConstraint(((2, pos(1)), (1, pos(3))), 2))
+    assert paths == {"attached": 2, "unattached": 1}
+    # the negation of x1 + x2 + x3 >= 2 forces nothing, so it is not
+    # attached either: the snapshot stays a fixpoint
+    c = LinearConstraint(((1, pos(1)), (1, pos(2)), (1, pos(3))), 2)
+    assert not checker_type().derive(c)
+    assert root_fixpoint([negation_of(c)]) is not None
+    assert paths == {"attached": 2, "unattached": 2}
 
 
 def test_refutes_leaves_the_checker_as_it_was():
-    # whatever the verdict, and also when the assumption names variables
-    # that no stored constraint has, a check changes none of the state
+    # whatever the verdict and the path, and also when the assumption names
+    # variables that no stored constraint has, a check changes none of the
+    # state; so does a failed derive of the assumption's negation, which a
+    # copy of the checker runs
     rng = random.Random(11)
+    checker_type, paths = _path_counting_checker()
     verdicts = {True: 0, False: 0}
-    new_variables = 0
+    new_variables = failed_derives = 0
     for _ in range(300):
         n = rng.randint(1, 6)
-        checker = RupChecker()
+        checker = checker_type()
         for _ in range(rng.randint(0, 5)):
             checker.store(random_constraint(rng, n, max_terms=4))
         for _ in range(3):
             assumption = random_constraint(rng, n + 2, max_terms=4)
             before = copy.deepcopy(vars(checker))
-            verdicts[checker.refutes(assumption)] += 1
+            verdict = checker.refutes(assumption)
+            verdicts[verdict] += 1
             assert vars(checker) == before
             new_variables += assumption.max_var() > n
+            trial = copy.deepcopy(checker)
+            assert trial.derive(negation_of(assumption)) == verdict
+            if not verdict:
+                assert vars(trial) == before
+                failed_derives += assumption.max_var() > n
     assert min(verdicts.values()) > 300 and new_variables > 500, (verdicts, new_variables)
+    assert failed_derives > 300, failed_derives
+    assert min(paths["attached"], paths["unattached"]) > 60, paths
 
 
 # the fixture proof with two u steps after the contradiction at id 14 is derived

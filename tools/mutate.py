@@ -42,6 +42,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_FACTOR = 10  # a mutant's tests may take this many times the unmutated run
 
+# the condition of parse_constraint_tokens' shortcut past the relation scan
+_FAST_SHAPE = (
+    "not (k >= 0 and tokens[k] in _RELATIONS and (tokens[-1] not in _RELATIONS) "
+    "and _RELATIONS.isdisjoint(tokens[:k]))"
+)
+
 # (module, function, original, occurrence, mutant, reason), each site as
 # printed: the mutants no test can kill, because they behave as the original
 EQUIVALENT = [
@@ -62,22 +68,20 @@ EQUIVALENT = [
      "fewest.append((count, (smallest & -smallest).bit_length() - 1))", 0,
      "fewest.append((count, (smallest | -smallest).bit_length() - 1))",
      "smallest | -smallest is minus its lowest bit, and bit_length ignores the sign"),
-    ("src/sbgkit/proof.py", "RupChecker._attach", "self._occ += (0, 0)", 0,
-     "self._occ += (1, 0)",
-     "a new plain literal also lists constraint 0, which is then propagated again "
-     "when the literal becomes false: more work, the same fixpoint"),
-    ("src/sbgkit/proof.py", "RupChecker._attach", "self._occ += (0, 0)", 0,
-     "self._occ += (0, 1)",
-     "a new negated literal also lists constraint 0, which is then propagated again "
-     "when the literal becomes false: more work, the same fixpoint"),
     ("src/sbgkit/proof.py", "RupChecker._propagate", "slack >= groups[0][0]", 0,
      "slack > groups[0][0]",
      "at slack equal to the largest coefficient no coefficient exceeds the slack, "
      "so the loop that follows forces nothing"),
-    ("src/sbgkit/proof.py", "RupChecker._propagate",
-     "even = ((1 << 2 * len(self._bit)) - 1) // 3", 0,
-     "even = ((1 << 2 * len(self._bit)) + 1) // 3",
-     "4**n - 1 is a multiple of 3, so adding 2 to it leaves the quotient by 3 as it is"),
+    ("src/sbgkit/encode.py", "parse_constraint_tokens", _FAST_SHAPE, 0,
+     _FAST_SHAPE.replace("k >= 0", "k > 0"),
+     "a line of two tokens is then scanned, which finds its one relation at k = 0 too"),
+    ("src/sbgkit/encode.py", "parse_constraint_tokens", _FAST_SHAPE, 0,
+     _FAST_SHAPE.replace("k >= 0", "k >= 1"),
+     "a line of two tokens is then scanned, which finds its one relation at k = 0 too"),
+    ("src/sbgkit/encode.py", "parse_constraint_tokens", _FAST_SHAPE, 0,
+     _FAST_SHAPE.replace("tokens[-1] not", "tokens[-2] not"),
+     "tokens[-2] is tokens[k], a relation, so every line is scanned, and the scan "
+     "finds the one relation wherever the shortcut would"),
     ("src/sbgkit/proof.py", "verify", "last_line = 0", 0, "last_line = 1",
      "last_line is read only through last_line or 1, which is 1 either way when no "
      "step ran"),
