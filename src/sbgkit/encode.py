@@ -54,11 +54,11 @@ class Literal:
 
 
 def pos(var: int) -> Literal:
-    return Literal(var)
+    return _literal(var, False)
 
 
 def neg(var: int) -> Literal:
-    return Literal(var, True)
+    return _literal(var, True)
 
 
 # Literals are frozen, so one object can stand for every equal literal.

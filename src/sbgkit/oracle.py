@@ -41,11 +41,18 @@ reads a prefix of that cached level.  Memory is therefore bounded by
 ``_CHUNK``: at most one cached level per leaf size, each at most ``_CHUNK``
 masks plus as many hit words; one batch of at most ``_CHUNK`` survivors with
 one 64-bit hit word each; and the exact check's n-column signature matrix
-over the batch's final survivors.  On the 32-node soccer ball graph at k=10
-the scan reads 565 leaves and 44,361,866 of the 64,512,240 subsets, 3,817
-of them survive the scan and exactly the 26 codes survive the later words;
-the four cached levels it reads, of sizes 5 to 8, hold 423,927 subsets, and
-the scans at k=8, 9 and 10 peak at about 6 MiB of numpy allocations
+over the batch's final survivors.
+
+``_CHUNK`` is 2^15 so that a leaf's working set fits in a 2 MiB L2 cache:
+its hit words (256 KiB) and masks (128 KiB or 256 KiB), the OR of the hit
+words (256 KiB) and the compare's booleans (32 KiB), about 0.66 MiB with
+32-bit masks.  Smaller leaves save little more memory and pay numpy's
+per-call cost more often.  On the 32-node soccer ball graph at k=10 the
+scan reads 2,093 leaves and 41,111,602 of the 64,512,240 subsets, 3,817 of
+them survive the scan and exactly the 26 codes survive the later words;
+the four cached levels it reads, of sizes 4 to 7, hold 14,950 + 26,334 +
+27,132 + 31,824 = 100,240 subsets, 1.1 MiB of masks and hit words.  The
+scans at k=8, 9 and 10 peak at 1.1, 1.6 and 1.6 MiB of numpy allocations
 (tracemalloc), where the C(32, 10) level held whole would be 246 MiB of
 masks.
 """
@@ -58,7 +65,7 @@ import operator
 
 from .graph import Graph, bits
 
-_CHUNK = 1 << 17
+_CHUNK = 1 << 15
 _PREFILTER_CAP = 64  # one uint64 hit word holds every filter
 
 
@@ -305,17 +312,18 @@ def count_ics(
             solutions.append(0)
         return count, solutions
 
-    total = 0
+    total, found = 0, []
     for cand in _survivors(g, k, dtype):
         sig = cand[:, None] & nb[None, :]
         sig.sort(axis=1)
         # nonempty and pairwise distinct, whatever the pool held
         good = (sig[:, 0] != 0) & (sig[:, 1:] != sig[:, :-1]).all(axis=1)
         total += int(good.sum())
-        if solutions is not None:
-            solutions.extend(cand[good].tolist())
-    if solutions is not None:
-        solutions.sort()  # colex order is increasing mask order
+        if collect:
+            found.append(cand[good])
+    if collect and found:
+        # colex order is increasing mask order; tolist() gives Python ints
+        solutions = np.sort(np.concatenate(found)).tolist()
     return total, solutions
 
 

@@ -60,9 +60,20 @@ def test_literal_negation_involution():
     assert str(neg(7)) == "~x7"
 
 
+def test_pos_and_neg_are_interned_with_the_parsers_literals():
+    # one object per literal, shared with what the OPB parser reads
+    (c,) = parse_opb("* #variable= 5 #constraint= 1\n+1 x4 +1 ~x5 >= 1 ;\n").constraints
+    assert pos(4) is pos(4) is c.terms[0][1]
+    assert neg(5) is neg(5) is c.terms[1][1]
+    assert pos(4) == Literal(4) and neg(5) == Literal(5, True)
+
+
 def test_literal_requires_positive_var():
-    with pytest.raises(EncodeError):
-        Literal(0)
+    for make in (Literal, pos, neg):
+        # twice: the interning cache of pos/neg stores no exception
+        for _ in range(2):
+            with pytest.raises(EncodeError):
+                make(0)
 
 
 def test_constraint_rejects_repeated_variable():
