@@ -22,7 +22,9 @@ from .encode import (
     Assignment,
     EncodeError,
     OpbError,
+    _TooLong,
     _is_digits,
+    _to_int,
     encode_ics,
     parse_opb,
     write_opb,
@@ -42,23 +44,13 @@ def _load_graph(path: str) -> Graph:
 
 
 def _witness_line(a: Assignment) -> str:
-    parts = []
-    for var in range(1, a.num_vars + 1):
-        v = a.value(var)
-        if v is None:
-            continue
-        parts.append(f"x{var}" if v else f"-x{var}")
-    return "v " + " ".join(parts)
+    return "v " + " ".join(
+        f"x{var}" if a.value(var) else f"-x{var}" for var in a.assigned_vars()
+    )
 
 
 def _solution_json(a: Assignment, names: tuple[str, ...] | None) -> str:
-    obj = {}
-    for var in range(1, a.num_vars + 1):
-        v = a.value(var)
-        if v is None:
-            continue
-        key = names[var - 1] if names else f"x{var}"
-        obj[key] = v
+    obj = {names[var - 1] if names else f"x{var}": a.value(var) for var in a.assigned_vars()}
     return json.dumps(obj, sort_keys=True)
 
 
@@ -125,11 +117,9 @@ def _parse_projection(f, selector: str | None) -> list[int] | None:
     for token in want:
         if token.startswith("x") and _is_digits(token[1:]):
             try:
-                out.append(int(token[1:]))
-            except ValueError:  # over Python's integer-string limit
-                raise EncodeError(
-                    f"projection variable id of {len(token) - 1} digits is too long"
-                ) from None
+                out.append(_to_int(token[1:]))
+            except _TooLong as exc:
+                raise EncodeError(f"projection variable: {exc}") from None
         elif f.names and token in f.names:
             out.append(f.names.index(token) + 1)
         else:

@@ -47,7 +47,7 @@ class Literal:
             raise EncodeError(f"variable ids are 1-based, got {self.var}")
 
     def __invert__(self) -> Literal:
-        return Literal(self.var, not self.negated)
+        return _literal(self.var, not self.negated)
 
     def __str__(self) -> str:
         return f"~x{self.var}" if self.negated else f"x{self.var}"
@@ -95,23 +95,6 @@ class LinearConstraint:
 
     def max_var(self) -> int:
         return max((lit.var for _, lit in self.terms), default=0)
-
-    def signed_items(self) -> tuple[list[tuple[int, int]], int]:
-        """Signed-coefficient view ``(list of (coef, var), rhs)``.
-
-        Rewrites each negated term via ``~x = 1 - x`` so that the constraint
-        reads as an inequality over plain variables; used for OPB output and
-        for constraint arithmetic.
-        """
-        items = []
-        rhs = self.degree
-        for coef, lit in self.terms:
-            if lit.negated:
-                items.append((-coef, lit.var))
-                rhs -= coef
-            else:
-                items.append((coef, lit.var))
-        return items, rhs
 
     def __str__(self) -> str:
         lhs = " ".join(f"+{coef} {lit}" for coef, lit in self.terms)
@@ -375,15 +358,16 @@ def _read_literal(token: str) -> Literal | None:
 
 
 def write_opb(f: PBFormula) -> str:
-    """Render a formula as OPB text; parse_opb inverts this bit-exactly."""
+    """Render a formula as OPB text; parse_opb inverts this bit-exactly.
+    A term ``a ~x`` is written ``-a x`` by ``~x = 1 - x``, with a taken off the degree."""
     lines = [f"* #variable= {f.num_vars} #constraint= {len(f.constraints)}"]
     if f.names is not None:
         lines.extend(
             f"* name x{i + 1} {name}" for i, name in enumerate(f.names)
         )
     for c in f.constraints:
-        items, rhs = c.signed_items()
-        parts = [f"{coef:+d} x{var}" for coef, var in items]
+        rhs = c.degree - sum(coef for coef, lit in c.terms if lit.negated)
+        parts = [f"{-coef if lit.negated else coef:+d} x{lit.var}" for coef, lit in c.terms]
         parts.append(f">= {rhs} ;")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"

@@ -245,41 +245,28 @@ def is_sbg(g: Graph) -> bool:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list text format into a Graph."""
-    order: list[str] = []
-    index: dict[str, int] = {}
-
-    def intern(name: str) -> int:
-        if name not in index:
-            index[name] = len(order)
-            order.append(name)
-        return index[name]
-
-    raw_edges: list[tuple[int, int, int]] = []
+    """Parse the edge-list text format into a Graph, checking each line as it
+    is read, so that an error names the first malformed line."""
+    ids: dict[str, int] = {}
+    edges: set[tuple[int, int]] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
-        if len(parts) == 1:
-            intern(parts[0])
-            continue
-        if len(parts) != 2:
+        if len(parts) > 2:
             raise EdgeListError(line_no, f"expected 'u v', got {raw.strip()!r}")
-        u, v = intern(parts[0]), intern(parts[1])
+        for name in parts:
+            ids.setdefault(name, len(ids))
+        if len(parts) == 1:
+            continue
+        u, v = sorted(ids[name] for name in parts)
         if u == v:
             raise EdgeListError(line_no, f"self-loop at {parts[0]!r}")
-        raw_edges.append((line_no, u, v))
-
-    seen = set()
-    edges = []
-    for line_no, u, v in raw_edges:
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
+        if (u, v) in edges:
             raise EdgeListError(line_no, "duplicate edge")
-        seen.add(key)
-        edges.append((u, v))
-    return Graph(len(order), edges, order)
+        edges.add((u, v))
+    return Graph(len(ids), edges, tuple(ids))
 
 
 def write_edge_list(g: Graph) -> str:

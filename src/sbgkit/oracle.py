@@ -301,16 +301,12 @@ def count_ics(
 
     import numpy as np
 
-    dtype = _mask_dtype(max(n, 1))
+    dtype = _mask_dtype(n)
     nb = np.array([g.closed_neighborhood(v) for v in range(n)], dtype=dtype)
     solutions: list[int] | None = [] if collect else None
-
-    if n == 0 or k == 0:
-        # the empty code identifies nothing unless the graph is empty
-        count = 1 if n == 0 else 0
-        if solutions is not None and count:
-            solutions.append(0)
-        return count, solutions
+    if n == 0:
+        # the empty code identifies the empty graph (at k = 0 < n the scan counts 0)
+        return 1, [0] if collect else None
 
     total, found = 0, []
     for cand in _survivors(g, k, dtype):

@@ -41,7 +41,6 @@ from .encode import (
     OpbError,
     _TooLong,
     _is_digits,
-    _literal,
     _read_int,
     _read_literal,
     _to_int,
@@ -122,16 +121,11 @@ def saturate(c: LinearConstraint) -> LinearConstraint:
 
 
 def negation_of(c: LinearConstraint) -> LinearConstraint:
-    """The constraint satisfied exactly when *c* is violated.
-
-    ``sum a_i l_i <= d - 1`` reads ``sum a_i ~l_i >= sum a_i - d + 1`` once
-    each ``l_i`` is written ``1 - ~l_i``.  It is the rule the tests hold
-    ``RupChecker.derive``'s swapped-bit negation to.
+    """The constraint satisfied exactly when *c* is violated: the
+    normaliser applied to "c's left side < its degree".  It is the rule the
+    tests hold ``RupChecker.derive``'s swapped-bit negation to.
     """
-    return LinearConstraint(
-        tuple((coef, _literal(lit.var, not lit.negated)) for coef, lit in c.terms),
-        sum(coef for coef, _ in c.terms) - c.degree + 1,
-    )
+    return normalize(c.terms, "<", c.degree)[0]
 
 
 # -- proof steps ---------------------------------------------------------------
@@ -494,7 +488,7 @@ def verify(f: PBFormula, steps: Iterable[ProofStep]) -> Verification:
     rup = RupChecker()
     contradiction: int | None = None
     checked = 0
-    last_line = 0
+    last_line = 1
 
     def store(c: LinearConstraint) -> None:
         constraints[next(ids)] = c
@@ -527,5 +521,5 @@ def verify(f: PBFormula, steps: Iterable[ProofStep]) -> Verification:
         else:  # pragma: no cover - parse_proof never emits other kinds
             raise VerifyError(line_no, kind, "unknown step kind")
     if contradiction is None:
-        raise VerifyError(last_line or 1, "c", "proof ends without a contradiction claim")
+        raise VerifyError(last_line, "c", "proof ends without a contradiction claim")
     return Verification(contradiction, checked, constraints)

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -7,12 +10,12 @@ from types import SimpleNamespace
 import pytest
 
 from sbgkit.cli import main
-from sbgkit.encode import parse_opb
+from sbgkit.encode import PBFormula, parse_opb
 from sbgkit.fixtures import EXAMPLE_UNSAT_OPB, EXAMPLE_UNSAT_PROOF, example_graph
-from sbgkit.graph import write_edge_list
+from sbgkit.graph import build_sbg, write_edge_list
 from sbgkit.ics import motif_class_sets
 from sbgkit.proof import VerifyError
-from sbgkit.solve import SolveLimitReached, SolveStats, enumerate_all, solve
+from sbgkit.solve import SolveLimitReached, SolveStats, _Search, enumerate_all, solve
 
 
 @pytest.fixture()
@@ -30,6 +33,11 @@ def test_build_sbg_writes_edge_list_and_names(tmp_path, capsys):
     # the node declarations up front are the name table, in id order
     assert lines[1] == "P1_1" and lines[32] == "P6_1"
     assert [p.name for p in tmp_path.iterdir()] == ["edges.txt"]
+
+
+def test_build_sbg_writes_to_stdout(capsys):
+    assert main(["build-sbg"]) == 0
+    assert capsys.readouterr().out == write_edge_list(build_sbg())
 
 
 def test_check_ics(sbg_file, capsys):
@@ -71,6 +79,49 @@ def test_solve_and_enumerate_small(tmp_path, capsys):
     records = [json.loads(line) for line in sols.read_text().splitlines()]
     assert len(records) == 3
     assert {"x1": 1, "x2": 0} in records
+
+
+def test_witness_lines_list_the_assigned_variables(tmp_path, capsys):
+    opb = tmp_path / "w.opb"
+    opb.write_text("* #variable= 3 #constraint= 2\n+1 x1 >= 1 ;\n+1 ~x2 >= 1 ;\n")
+    assert main(["solve", str(opb)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["s SATISFIABLE", "v x1 -x2 -x3"]
+    assert main(["enumerate", str(opb), "--project", "x3,x2"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["c 2 solutions", "v -x2 x3", "v -x2 -x3"]
+    # a formula over no variables is satisfied by the empty witness
+    opb.write_text("* #variable= 0 #constraint= 0\n")
+    assert main(["solve", str(opb)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["s SATISFIABLE", "v "]
+
+
+@pytest.mark.parametrize("command,message", [
+    ("solve", "witness fails recheck"),
+    ("enumerate", "model fails recheck"),
+    ("enumerate", "duplicate projected model"),
+])
+def test_internal_errors_exit_1(tmp_path, monkeypatch, capsys, command, message):
+    opb = tmp_path / "tiny.opb"
+    opb.write_text("* #variable= 2 #constraint= 1\n+1 x1 +1 x2 >= 1 ;\n")
+    if message == "duplicate projected model":
+        monkeypatch.setattr(_Search, "search", lambda self, *args, **kw: iter([[1, 0]] * 2))
+    else:
+        monkeypatch.setattr(PBFormula, "satisfied_by", lambda self, a: False)
+    assert main([command, str(opb)]) == 1
+    assert capsys.readouterr().err == f"error: internal error: {message}\n"
+
+
+def test_only_a_missing_numpy_is_reported(monkeypatch, capsys):
+    def missing(name):
+        def fn(args):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return fn
+
+    monkeypatch.setattr("sbgkit.cli._cmd_color", missing("numpy"))
+    assert main(["color", "--graph", "g.txt", "--inject", "a"]) == 1
+    assert capsys.readouterr().err == "error: sbgkit color needs numpy, which is not installed\n"
+    monkeypatch.setattr("sbgkit.cli._cmd_color", missing("other"))
+    with pytest.raises(ModuleNotFoundError, match="other"):
+        main(["color", "--graph", "g.txt", "--inject", "a"])
 
 
 def test_solve_unsat(tmp_path, capsys):
@@ -215,6 +266,17 @@ def test_missing_graph_file_is_reported(capsys):
     assert main(["check-ics", "--graph", "/nonexistent", "--set", "a"]) == 1
 
 
+def test_the_module_runs_as_a_script_with_main_s_exit_code(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "sbgkit.cli", "solve", "missing.opb"], cwd=tmp_path,
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr.startswith("error: ") and len(run.stderr.splitlines()) == 1
+
+
 # -- every failure is one stderr line and a documented exit code -----------------
 
 PROOF_HEADER = "pseudo-Boolean proof version 1.0\n"
@@ -247,6 +309,8 @@ REPROS = [
     ("negative budget", {"g.txt": SMALL_GRAPH},
      ["encode", "--graph", "g.txt", "--budget", "-1", "--out", "o.opb"], 2),
     ("oracle k beyond n", {"g.txt": SMALL_GRAPH}, ["oracle", "--graph", "g.txt", "--k", "99"], 2),
+    ("unknown node name", {"g.txt": SMALL_GRAPH},
+     ["check-ics", "--graph", "g.txt", "--set", "NOPE"], 2),
     ("oracle over 64 nodes", {"g.txt": "".join(f"n{i}\n" for i in range(70))},
      ["oracle", "--graph", "g.txt", "--k", "2"], 2),
     ("projection out of range", {}, ["enumerate", "ex.opb", "--project", "x9"], 2),

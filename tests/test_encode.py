@@ -65,6 +65,7 @@ def test_pos_and_neg_are_interned_with_the_parsers_literals():
     (c,) = parse_opb("* #variable= 5 #constraint= 1\n+1 x4 +1 ~x5 >= 1 ;\n").constraints
     assert pos(4) is pos(4) is c.terms[0][1]
     assert neg(5) is neg(5) is c.terms[1][1]
+    assert ~pos(5) is neg(5) and ~neg(4) is pos(4)
     assert pos(4) == Literal(4) and neg(5) == Literal(5, True)
 
 
@@ -79,6 +80,12 @@ def test_literal_requires_positive_var():
 def test_constraint_rejects_repeated_variable():
     with pytest.raises(EncodeError):
         LinearConstraint(((1, pos(1)), (2, pos(1))), 1)
+
+
+def test_constraint_rejects_non_positive_coefficients():
+    for coef in (0, -2):
+        with pytest.raises(EncodeError, match=f"positive, got {coef}"):
+            LinearConstraint(((1, pos(1)), (coef, pos(2))), 1)
 
 
 def test_constraint_factory_merges_opposite_literals():
@@ -122,6 +129,12 @@ def test_normalize_strict_relations():
     assert c == LinearConstraint(((1, neg(1)),), 1)
 
 
+def test_normalize_rejects_an_unknown_relation():
+    for relation in ("!=", "=>", ""):
+        with pytest.raises(EncodeError, match="unknown relation"):
+            normalize([(1, pos(1))], relation, 1)
+
+
 def test_normalize_preserves_satisfying_set():
     rng = random.Random(17)
     for _ in range(300):
@@ -138,6 +151,31 @@ def test_normalize_preserves_satisfying_set():
                 "<": lhs < rhs, ">": lhs > rhs,
             }[relation]
             assert raw_ok == all(evaluate(c, a) for c in cons)
+
+
+# -- assignments and formulas ------------------------------------------------------
+
+
+def test_assignment_rejects_bad_values():
+    with pytest.raises(EncodeError, match="length"):
+        Assignment(2, (0,))
+    for bad in (2, -1, 0.5, "1"):
+        with pytest.raises(EncodeError, match="0/1/None"):
+            Assignment(2, (0, bad))
+    a = Assignment.total([1, 0])
+    assert (a.value(1), a.value(2)) == (1, 0)
+    for var in (0, 3):
+        with pytest.raises(EncodeError, match=f"x{var} out of range"):
+            a.value(var)
+
+
+def test_formula_rejects_foreign_variables_and_bad_names():
+    with pytest.raises(EncodeError, match="x3 beyond num_vars=2"):
+        PBFormula(2, (LinearConstraint(((1, pos(3)),), 1),))
+    for names in (("a",), ("a", "b", "c")):
+        with pytest.raises(EncodeError, match="names length"):
+            PBFormula(2, (), names)
+    assert PBFormula(2, (), ("a", "b")).names == ("a", "b")
 
 
 # -- evaluate ---------------------------------------------------------------------
@@ -254,6 +292,13 @@ def test_blocking_single_bit_flips():
         assert evaluate(c, Assignment.total(flipped))
 
 
+def test_blocking_requires_the_projection_assigned():
+    a = Assignment(3, (1, None, 0))
+    assert blocking_constraint(a) == LinearConstraint(((1, neg(1)), (1, pos(3))), 1)
+    with pytest.raises(PartialAssignmentError, match="x2 is unassigned"):
+        blocking_constraint(a, variables=[1, 2])
+
+
 def test_blocking_restricted_to_projection():
     a = Assignment.total([1, 0, 1])
     c = blocking_constraint(a, variables=[1, 3])
@@ -309,6 +354,18 @@ def test_opb_parse_errors():
         parse_opb("")
     with pytest.raises(OpbError, match="declares 2 constraints but 1"):
         parse_opb("* #variable= 1 #constraint= 2\n+1 x1 >= 1 ;\n")
+
+
+def test_opb_skips_blank_lines():
+    f = parse_opb("\n* #variable= 2 #constraint= 2\n\n+1 x1 >= 1 ;\n  \n+1 x2 >= 1 ;\n\n")
+    assert f == parse_opb("* #variable= 2 #constraint= 2\n+1 x1 >= 1 ;\n+1 x2 >= 1 ;\n")
+
+
+def test_opb_rejects_an_incomplete_name_table():
+    with pytest.raises(OpbError, match="^line 1: incomplete variable name table$"):
+        parse_opb("* #variable= 2 #constraint= 0\n* name x1 a\n")
+    with pytest.raises(OpbError, match="incomplete variable name table"):
+        parse_opb("* #variable= 1 #constraint= 0\n* name x1 a\n* name x2 b\n")
 
 
 def test_opb_name_table_round_trip(sbg):

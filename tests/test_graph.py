@@ -91,6 +91,28 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(0, 5)])
 
 
+def test_graph_rejects_bad_node_counts_and_names():
+    with pytest.raises(GraphError, match="nonnegative"):
+        Graph(-1, [])
+    with pytest.raises(GraphError, match="expected 2 names, got 1"):
+        Graph(2, [], names=["a"])
+    with pytest.raises(GraphError, match="distinct"):
+        Graph(2, [], names=["a", "a"])
+
+
+def test_graph_repr(sbg):
+    assert repr(sbg) == "Graph(n=32, edges=90)"
+
+
+def test_graph_equality_and_hash():
+    g, again = Graph(2, [(0, 1)], names=["a", "b"]), Graph(2, [(1, 0)], names=["a", "b"])
+    assert g == again and hash(g) == hash(again) and len({g, again}) == 1
+    assert g != Graph(2, [], names=["a", "b"]) and g != Graph(2, [(0, 1)])
+    # a non-Graph defers to the other operand, so equality falls back to identity
+    assert g.__eq__((2, g.edges)) is NotImplemented
+    assert g != (2, g.edges)
+
+
 # -- neighborhoods -------------------------------------------------------------
 
 
@@ -232,6 +254,20 @@ def test_edge_list_errors_carry_line_numbers():
         parse_edge_list("a b\nb c\nb a\n")
     with pytest.raises(EdgeListError, match="line 1: expected"):
         parse_edge_list("a b c\n")
+
+
+def test_edge_list_reports_the_first_malformed_line():
+    # the duplicate on line 3 comes before the self-loop on line 4
+    with pytest.raises(EdgeListError, match="^line 3: duplicate edge$"):
+        parse_edge_list("a b\nb c\na b\nc c\n")
+
+
+def test_unknown_node_name_is_rejected(sbg):
+    assert sbg.node_id("P6_1") == 31
+    with pytest.raises(GraphError, match="unknown node name 'NOPE'"):
+        sbg.node_id("NOPE")
+    with pytest.raises(GraphError, match="unknown node name 'NOPE'"):
+        sbg.parse_node_set("P1_1,NOPE")
 
 
 def test_sbg_node_lookup():

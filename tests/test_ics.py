@@ -4,7 +4,7 @@ import pytest
 
 from conftest import random_graph
 from sbgkit.fixtures import example_graph
-from sbgkit.graph import Graph, bits, mask_of, sbg_node
+from sbgkit.graph import Graph, GraphError, bits, mask_of, sbg_node
 from sbgkit.ics import (
     _mirror_permutation,
     _rotation_permutation,
@@ -107,6 +107,12 @@ def test_single_injection_colors_closed_neighborhood(sbg):
 def test_ring_coloring_top_pentagon(sbg):
     rows = dict(color_table(sbg, RING_CODE))
     assert rows["P1_1"] == "ABCDE"
+
+
+def test_star_notation_has_26_letters(sbg):
+    assert len(color_table(sbg, (1 << 26) - 1)) == 32
+    with pytest.raises(GraphError, match="at most 26 injected nodes"):
+        color_table(sbg, (1 << 27) - 1)
 
 
 def test_star_marks_injected_nodes(sbg):

@@ -45,11 +45,11 @@ def test_count_matches_definition_on_random_graphs():
     rng = random.Random(13)
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 9), p=rng.uniform(0.1, 0.9))
-        k = rng.randint(0, g.n)
-        expected_count, expected = brute_count(g, k)
-        count, sols = count_ics(g, k, collect=True)
-        assert count == expected_count
-        assert sorted(sols) == sorted(expected)
+        for k in (0, rng.randint(0, g.n)):
+            expected_count, expected = brute_count(g, k)
+            count, sols = count_ics(g, k, collect=True)
+            assert count == expected_count
+            assert sorted(sols) == sorted(expected)
 
 
 def test_count_full_subset():

@@ -13,6 +13,7 @@ from sbgkit.encode import (
     LinearConstraint,
     Literal,
     evaluate,
+    normalize,
     parse_opb,
     neg,
     pos,
@@ -154,6 +155,22 @@ def test_negation_of():
         assert flipped == models(LinearConstraint((), 0), n) - models(c, n)
 
 
+def test_negation_of_swaps_each_literal_and_complements_the_degree():
+    # sum a_i l_i <= d - 1 reads sum a_i ~l_i >= sum a_i - d + 1, written out
+    rng = random.Random(30)
+    for _ in range(1000):
+        n = rng.randint(1, 8)
+        terms = [
+            (rng.randint(-5, 5), Literal(rng.randint(1, n), rng.random() < 0.5))
+            for _ in range(rng.randint(0, 6))
+        ]
+        (c,) = normalize(terms, ">=", rng.randint(-6, 8))
+        assert negation_of(c) == LinearConstraint(
+            tuple((coef, Literal(lit.var, not lit.negated)) for coef, lit in c.terms),
+            sum(coef for coef, _ in c.terms) - c.degree + 1,
+        ), c
+
+
 def test_negation_of_a_trivially_true_constraint_has_no_models():
     for c in (
         LinearConstraint(((2, pos(1)), (1, neg(2))), 0),
@@ -259,6 +276,12 @@ def test_verify_fixture(example):
     assert outcome.constraints[8] == example.constraints[6]
     assert outcome.constraints[9] == LinearConstraint(((1, neg(2)), (1, neg(3))), 2)
     assert outcome.constraints[10] == LinearConstraint(((1, neg(2)),), 1)
+
+
+def test_verify_counts_every_step(example):
+    # the header line counts as a step, as in `sbgkit verify`'s "16 steps checked"
+    steps = parse_proof(EXAMPLE_UNSAT_PROOF)
+    assert verify(example, steps).steps_checked == len(steps) == 16
 
 
 def test_verify_requires_contradiction_claim(example):

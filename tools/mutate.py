@@ -51,15 +51,17 @@ _FAST_SHAPE = (
 # (module, function, original, occurrence, mutant, reason), each site as
 # printed: the mutants no test can kill, because they behave as the original
 EQUIVALENT = [
-    ("src/sbgkit/oracle.py", "count_ics", "n == 0 or k == 0", 0, "n == 0 and k == 0",
-     "n = 0 forces k = 0, and at k = 0 < n the empty subset meets no closed "
-     "neighborhood, so the scan and the exact check count 0 as the shortcut does"),
-    ("src/sbgkit/oracle.py", "count_ics", "dtype = _mask_dtype(max(n, 1))", 0,
-     "dtype = _mask_dtype(max(n, 2))", "n <= 2 takes uint32 masks either way"),
     ("src/sbgkit/oracle.py", "_survivors", "batch, size = ([], 0)", 1, "batch, size = ([], 1)",
      "the reset after a flush, whose leaf is appended next: size counts one "
      "mask too many, so later batches flush one mask early, still hold 1 to "
      "_CHUNK masks and lose none"),
+    ("src/sbgkit/graph.py", "parse_edge_list", "line = raw.split('#', 1)[0].strip()", 0,
+     "line = raw.split('#', 2)[0].strip()",
+     "the text before the first '#' is the same whatever the later splits"),
+    ("src/sbgkit/graph.py", "parse_edge_list",
+     "raise EdgeListError(line_no, f'self-loop at {parts[0]!r}')", 0,
+     "raise EdgeListError(line_no, f'self-loop at {parts[1]!r}')",
+     "a self-loop line names one node twice: u == v only when parts[0] == parts[1]"),
     ("src/sbgkit/solve.py", "_Search.bound", "low = m & -m", 0, "low = m | -m",
      "m | -m is minus the lowest bit, of the same bit_length; the drop then also "
      "reads occ of the negated literals up to just above the pick's, and no "
@@ -82,9 +84,6 @@ EQUIVALENT = [
      _FAST_SHAPE.replace("tokens[-1] not", "tokens[-2] not"),
      "tokens[-2] is tokens[k], a relation, so every line is scanned, and the scan "
      "finds the one relation wherever the shortcut would"),
-    ("src/sbgkit/proof.py", "verify", "last_line = 0", 0, "last_line = 1",
-     "last_line is read only through last_line or 1, which is 1 either way when no "
-     "step ran"),
 ]
 
 _SWAPS = {
