@@ -90,9 +90,6 @@ class LinearConstraint:
     def contradiction(self) -> bool:
         return not self.terms and self.degree >= 1
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(coef_lit[1].var for coef_lit in self.terms)
-
     def max_var(self) -> int:
         return max((lit.var for _, lit in self.terms), default=0)
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from .graph import Graph
-
 # An unsatisfiable four-variable PB formula.  The last constraint allows at
 # most one true variable while x1+x3 >= 1 and x2+x4 >= 1 force two.
 EXAMPLE_UNSAT_OPB = """\
@@ -38,21 +36,3 @@ p 6 11 + 0
 p 8 13 + x2 + x3 + 12 + 0
 c 14 0
 """
-
-
-def example_graph() -> Graph:
-    """Ten-node graph whose four hub nodes form an identifying code.
-
-    Nodes v1..v4 are pairwise nonadjacent; each of v5..v10 is adjacent to a
-    distinct pair of hubs, so the signatures under {v1..v4} are the four
-    singletons plus all six pairs.
-    """
-    pairs = [
-        (4, 0), (4, 1),
-        (5, 0), (5, 2),
-        (6, 0), (6, 3),
-        (7, 1), (7, 2),
-        (8, 1), (8, 3),
-        (9, 2), (9, 3),
-    ]
-    return Graph(10, pairs)

@@ -120,14 +120,6 @@ def saturate(c: LinearConstraint) -> LinearConstraint:
     )
 
 
-def negation_of(c: LinearConstraint) -> LinearConstraint:
-    """The constraint satisfied exactly when *c* is violated: the
-    normaliser applied to "c's left side < its degree".  It is the rule the
-    tests hold ``RupChecker.derive``'s swapped-bit negation to.
-    """
-    return normalize(c.terms, "<", c.degree)[0]
-
-
 # -- proof steps ---------------------------------------------------------------
 
 
@@ -217,8 +209,8 @@ def parse_proof(text: str) -> list[ProofStep]:
 def _parse_step(line: str, line_no: int) -> ProofStep:
     """The step of a proof line after the header; an integer past Python's
     integer-string limit raises _TooLong."""
-    directive, _, rest = line.partition(" ")
-    rest = rest.strip()
+    directive, *tail = line.split(maxsplit=1)
+    rest = tail[0] if tail else ""
     if directive == "u":
         tokens = rest.split()
         if not tokens or tokens[-1] != ";":
@@ -272,9 +264,9 @@ class RupChecker:
     is attached only when that first firing forces some of its literals and
     leaves others free; with none free, as for the negation of a clause, it
     can never fire again.  Pending constraints are taken newest first, so
-    the latest steps of the proof run first.  Its verdict equals
-    ``solve.root_fixpoint(...) is None`` over the stored constraints plus
-    the assumption, which the tests check.
+    the latest steps of the proof run first.  Its verdict equals that of
+    the tests' reference, ``root_fixpoint`` in tests/reference.py, which
+    rescans the stored constraints plus the assumption.
     """
 
     def __init__(self) -> None:
@@ -293,18 +285,13 @@ class RupChecker:
         if not (self._conflict or c.trivially_true):
             self._store(c.degree, self._index(c))
 
-    def refutes(self, assumption: LinearConstraint) -> bool:
-        """True iff propagation refutes the stored constraints plus
-        *assumption*, which is not kept."""
-        known = len(self._bit)
-        refuted = self._conflict or self._refutes(assumption.degree, self._index(assumption))
-        self._forget(known)
-        return refuted
-
     def derive(self, c: LinearConstraint) -> bool:
-        """``refutes(negation_of(c))``, then ``store(c)`` if it holds.  The
-        negation is the groups of *c* with each literal bit swapped."""
-        known = len(self._bit)
+        """True iff propagation refutes the stored constraints plus the
+        negation of *c*; then *c* is stored.  The negation is the groups of
+        *c* with each literal bit swapped, which the tests hold to
+        ``negation_of`` in tests/reference.py.  A failed check leaves the
+        new variables of *c* numbered; they occur in no stored constraint,
+        so they change no later verdict."""
         groups = self._index(c)
         even = self._even
         negation = [(coef, (m & even) << 1 | m >> 1 & even) for coef, m in groups]
@@ -312,8 +299,6 @@ class RupChecker:
         refuted = self._conflict or self._refutes(size - c.degree + 1, negation)
         if refuted and not (self._conflict or c.trivially_true):
             self._store(c.degree, groups)
-        else:
-            self._forget(known)
         return refuted
 
     def _index(self, c: LinearConstraint) -> list[tuple[int, int]]:
@@ -328,13 +313,6 @@ class RupChecker:
                 self._sat_by += (0, 0)
             groups[coef] = groups.get(coef, 0) | 1 << b + lit.negated
         return sorted(groups.items(), reverse=True)
-
-    def _forget(self, known: int) -> None:
-        """Drop the variables after the first *known*."""
-        while len(self._bit) > known:
-            self._bit.popitem()
-        self._even &= (1 << 2 * known) - 1
-        del self._occ[2 * known:], self._sat_by[2 * known:]
 
     def _flip(self, degree: int, groups: list[tuple[int, int]], bit: int) -> None:
         """Attach constraint *bit* to its literals, or detach it."""

@@ -49,25 +49,17 @@ Enumeration runs a single search tree: the search yields each model, the
 caller attaches the model's blocking constraint before it asks for the
 next, and the search resumes by treating the model as a conflict, so the
 total work is one refutation of the fully blocked formula.
-
-The proof verifier's reverse-unit-propagation checker, proof.RupChecker,
-shares no code with that engine.  root_fixpoint is the propagation rule
-itself, applied by rescanning every constraint until nothing changes, kept
-slow and obvious.  It is the reference the tests hold both _Search and
-RupChecker to, so that a bug in one propagator cannot make the solver and
-the checker agree wrongly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .encode import (
     Assignment,
     EncodeError,
     LinearConstraint,
-    Literal,
     PBFormula,
     blocking_constraint,
 )
@@ -543,35 +535,3 @@ def enumerate_all(
         seen.add(projected.values)
         out.append(projected)
     return out
-
-
-# -- the propagation rule, for the tests ---------------------------------------
-
-
-def root_fixpoint(constraints: Sequence[LinearConstraint]) -> dict[int, int] | None:
-    """What propagation alone forces from *constraints*, as ``{variable: value}``.
-
-    None when it reaches a conflict.  This is the rule itself, applied by
-    rescanning every constraint until nothing changes: a constraint's slack
-    is the sum of its coefficients over literals that are not false, minus
-    its degree.  Negative slack is a conflict; otherwise every free literal
-    whose coefficient exceeds the slack is forced true.  The tests hold both
-    _Search and proof.RupChecker to it.
-    """
-    forced: dict[int, int] = {}
-
-    def is_false(lit: Literal) -> bool:
-        return forced.get(lit.var) == (1 if lit.negated else 0)
-
-    changed = True
-    while changed:
-        changed = False
-        for c in constraints:
-            slack = sum(coef for coef, lit in c.terms if not is_false(lit)) - c.degree
-            if slack < 0:
-                return None
-            for coef, lit in c.terms:
-                if coef > slack and lit.var not in forced:
-                    forced[lit.var] = 0 if lit.negated else 1
-                    changed = True
-    return forced

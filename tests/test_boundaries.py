@@ -5,7 +5,8 @@ verifier, RUP checker included, takes only the data model and OPB parsing
 from encode.py, so that a bug in the solver's search engine cannot make two
 routes agree wrongly.  The solver in turn uses nothing of the verifier.
 Only the oracle names numpy, and only inside its functions, so the solver
-and the verifier run without it.
+and the verifier run without it.  The tests' slow references, in
+tests/reference.py, name neither the search engine nor the RUP checker.
 """
 
 import ast
@@ -96,6 +97,22 @@ def test_the_verifier_takes_only_the_rup_checker_from_solve():
 def test_the_rup_checker_uses_neither_the_search_nor_the_reference_engine():
     names = _names(_class("proof.py", "RupChecker"))
     assert not names & {"solve", "_Search", "root_fixpoint"}
+
+
+def test_the_reference_names_none_of_the_engines_it_checks():
+    # tests/reference.py is what the tests hold the search engine and the
+    # RUP checker to, so it must not reach either of them
+    engines = {"RupChecker", "_Search", "derive", "_refutes", "_propagate"}
+    source = (Path(__file__).parent / "reference.py").read_text()
+    assert not _names(ast.parse(source)) & engines
+    for injected in (
+        "from sbgkit.proof import RupChecker\n",
+        "from sbgkit.solve import _Search\n",
+        "def check(checker, c):\n    return checker.derive(c)\n",
+        "def check(checker, groups):\n    return checker._refutes(1, groups)\n",
+        "def check(checker):\n    return checker._propagate(0, 0, 0, 1)\n",
+    ):
+        assert _names(ast.parse(source + injected)) & engines, injected
 
 
 def test_the_solver_imports_nothing_from_the_verifier():

@@ -9,9 +9,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from reference import example_graph
 from sbgkit.cli import main
 from sbgkit.encode import PBFormula, parse_opb
-from sbgkit.fixtures import EXAMPLE_UNSAT_OPB, EXAMPLE_UNSAT_PROOF, example_graph
+from sbgkit.fixtures import EXAMPLE_UNSAT_OPB, EXAMPLE_UNSAT_PROOF
 from sbgkit.graph import build_sbg, write_edge_list
 from sbgkit.ics import motif_class_sets
 from sbgkit.proof import VerifyError

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import random_graph
-from sbgkit.fixtures import example_graph
+from reference import example_graph
 from sbgkit.graph import Graph, GraphError, bits, mask_of, sbg_node
 from sbgkit.ics import (
     _mirror_permutation,

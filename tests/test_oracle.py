@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from conftest import random_graph
+from reference import example_graph
 from sbgkit import oracle
 from sbgkit.encode import encode_ics
-from sbgkit.fixtures import example_graph
 from sbgkit.graph import Graph, bits, mask_of
 from sbgkit.ics import is_ics
 from sbgkit.oracle import (

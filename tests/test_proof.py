@@ -1,18 +1,18 @@
 import copy
-import itertools
 import random
+import re
 import tracemalloc
 from collections import Counter
 
 import pytest
 
+from reference import models, negation_of, reference_verify, root_fixpoint
 import sbgkit.encode as encode_module
 import sbgkit.proof as proof_module
 from sbgkit.encode import (
-    Assignment,
     LinearConstraint,
     Literal,
-    evaluate,
+    PBFormula,
     normalize,
     parse_opb,
     neg,
@@ -27,12 +27,10 @@ from sbgkit.proof import (
     axiom_literal,
     divide,
     multiply,
-    negation_of,
     parse_proof,
     saturate,
     verify,
 )
-from sbgkit.solve import root_fixpoint
 
 
 def random_constraint(rng, n_vars, max_terms=5):
@@ -41,15 +39,6 @@ def random_constraint(rng, n_vars, max_terms=5):
         (rng.randint(1, 5), Literal(v, rng.random() < 0.5)) for v in variables
     )
     return LinearConstraint(terms, rng.randint(-3, 6))
-
-
-def models(c, n):
-    out = set()
-    for values in itertools.product((0, 1), repeat=n):
-        a = Assignment.total(values)
-        if evaluate(c, a):
-            out.add(values)
-    return out
 
 
 # -- axioms and rules ------------------------------------------------------------
@@ -120,7 +109,7 @@ def test_multiply_preserves_models():
     for _ in range(200):
         n = rng.randint(1, 8)
         c = random_constraint(rng, n)
-        assert models(c, n) == models(multiply(c, rng.randint(1, 4)), n)
+        assert models([c], n) == models([multiply(c, rng.randint(1, 4))], n)
 
 
 def test_saturate_preserves_models():
@@ -128,7 +117,7 @@ def test_saturate_preserves_models():
     for _ in range(200):
         n = rng.randint(1, 8)
         c = random_constraint(rng, n)
-        assert models(c, n) == models(saturate(c), n)
+        assert models([c], n) == models([saturate(c)], n)
 
 
 def test_rules_are_sound():
@@ -138,12 +127,12 @@ def test_rules_are_sound():
         n = rng.randint(2, 8)
         a = random_constraint(rng, n)
         b = random_constraint(rng, n)
-        universe = models(LinearConstraint((), 0), n)
-        assert models(a, n) & models(b, n) <= models(add(a, b), n)
-        assert models(a, n) <= models(divide(a, rng.randint(1, 4)), n)
-        assert models(a, n) <= models(multiply(a, rng.randint(1, 4)), n)
-        assert models(a, n) <= models(saturate(a), n)
-        assert universe == models(axiom_literal(Literal(1, rng.random() < 0.5)), n)
+        universe = models([], n)
+        assert models([a, b], n) <= models([add(a, b)], n)
+        assert models([a], n) <= models([divide(a, rng.randint(1, 4))], n)
+        assert models([a], n) <= models([multiply(a, rng.randint(1, 4))], n)
+        assert models([a], n) <= models([saturate(a)], n)
+        assert universe == models([axiom_literal(Literal(1, rng.random() < 0.5))], n)
 
 
 def test_negation_of():
@@ -151,8 +140,8 @@ def test_negation_of():
     for _ in range(100):
         n = rng.randint(1, 7)
         c = random_constraint(rng, n)
-        flipped = models(negation_of(c), n)
-        assert flipped == models(LinearConstraint((), 0), n) - models(c, n)
+        flipped = models([negation_of(c)], n)
+        assert flipped == models([], n) - models([c], n)
 
 
 def test_negation_of_swaps_each_literal_and_complements_the_degree():
@@ -178,7 +167,7 @@ def test_negation_of_a_trivially_true_constraint_has_no_models():
         LinearConstraint((), 0),
     ):
         assert c.trivially_true
-        assert models(negation_of(c), 2) == set()
+        assert models([negation_of(c)], 2) == set()
 
 
 def test_negation_of_the_empty_contradiction_is_trivially_true():
@@ -192,7 +181,7 @@ def test_negation_of_twice_keeps_the_models():
     for _ in range(100):
         n = rng.randint(1, 6)
         c = random_constraint(rng, n)
-        assert models(negation_of(negation_of(c)), n) == models(c, n)
+        assert models([negation_of(negation_of(c))], n) == models([c], n)
 
 
 # -- proof parsing -----------------------------------------------------------------
@@ -256,6 +245,26 @@ def test_parse_error_line_numbers():
     with pytest.raises(ProofParseError) as err:
         parse_proof(text)
     assert err.value.line_no == 3
+
+
+@pytest.mark.parametrize("step", ["u", "u +1 x1 >= 1", "u +1 x1 >= 1 ; 0"])
+def test_parse_requires_a_u_constraint_to_end_with_a_semicolon(step):
+    with pytest.raises(ProofParseError) as err:
+        parse_proof(f"pseudo-Boolean proof version 1.0\n{step}\n")
+    assert str(err.value) == "line 2: 'u' constraint must end with ';'"
+
+
+def test_parse_splits_a_directive_from_its_body_on_any_whitespace(example):
+    # a tab after u, l, p or c reads as a space does, as in OPB lines
+    tabbed = re.sub(r"^([ulpc]) ", "\\1\t", EXAMPLE_UNSAT_PROOF, flags=re.M)
+    assert {line[:2] for line in tabbed.splitlines()[1:]} == {"u\t", "l\t", "p\t", "c\t"}
+    steps = parse_proof(tabbed)
+    assert steps == parse_proof(EXAMPLE_UNSAT_PROOF)
+    assert verify(example, steps) == verify(example, parse_proof(EXAMPLE_UNSAT_PROOF))
+    for line in ("zz 5", "zz\t5"):
+        with pytest.raises(ProofParseError) as err:
+            parse_proof(f"pseudo-Boolean proof version 1.0\n{line}\n")
+        assert str(err.value) == "line 2: unknown directive 'zz'"
 
 
 # -- verification ------------------------------------------------------------------
@@ -385,8 +394,7 @@ def test_verify_rejects_multiplication_by_zero(example):
 
 def test_verified_fixture_is_actually_unsat(example):
     # independent spot check: the verified formula has no models at all
-    for values in itertools.product((0, 1), repeat=example.num_vars):
-        assert not example.satisfied_by(Assignment.total(values))
+    assert models(example.constraints, example.num_vars) == set()
 
 
 # -- the incremental RUP checker ---------------------------------------------------
@@ -426,8 +434,8 @@ def _agreement_with_root_fixpoint(
 ):
     # random store / u sequences of draw(rng, n) over variables ids_for(rng, n);
     # every verdict against root_fixpoint, which sees the same ids as the
-    # checker; each u step is checked by refutes on its negation, then by
-    # derive, which checks the step's swapped-bit negation and keeps the step
+    # checker; each u step is checked by derive, which checks the step's
+    # swapped-bit negation and keeps the step
     rng = random.Random(seed)
     checker_type, paths = _path_counting_checker()
     verdicts = {True: 0, False: 0}
@@ -448,11 +456,9 @@ def _agreement_with_root_fixpoint(
                 checker.store(c)
                 stored.append(c)
                 continue
-            negation = negation_of(c)
-            verdict = checker.refutes(negation)
-            assert verdict == (root_fixpoint(stored + [negation]) is None), (stored, c)
-            assert checker.derive(c) == verdict, (stored, c)
-            # once the stored constraints conflict, refutes answers True
+            verdict = checker.derive(c)
+            assert verdict == (root_fixpoint(stored + [negation_of(c)]) is None), (stored, c)
+            # once the stored constraints conflict, derive answers True
             # without propagating, so only the checks before that count
             if root_fixpoint(stored) is not None:
                 verdicts[verdict] += 1
@@ -509,9 +515,9 @@ def test_rup_through_a_false_negated_literal():
     checker = RupChecker()
     for c in clauses:
         checker.store(c)
-    negation = negation_of(LinearConstraint(((1, neg(3)),), 1))
-    assert root_fixpoint(clauses + [negation]) is None
-    assert checker.refutes(negation)
+    step = LinearConstraint(((1, neg(3)),), 1)
+    assert root_fixpoint(clauses + [negation_of(step)]) is None
+    assert checker.derive(step)
 
 
 def _visits(checker):
@@ -528,34 +534,36 @@ def _visits(checker):
 
 
 def test_rup_propagates_the_newest_constraint_first():
-    # 200 clauses x1 + x_i, then x1 + x2 and x1 + ~x2: assuming ~x1, the
-    # check visits the two newest clauses, which conflict, and none of the
-    # 200 older clauses that x1 false also wakes; the assumption, the
-    # negation of a clause, fires at the snapshot and is never visited
+    # 200 clauses x1 + x_i, then x1 + x2 and x1 + ~x2: deriving x1, the
+    # check of ~x1 visits the two newest clauses, which conflict, and none
+    # of the 200 older clauses that x1 false also wakes; the negation of a
+    # clause fires at the snapshot and is never visited; storing x1 then
+    # visits it, at index 202, and x1 true wakes nothing
     checker = RupChecker()
     for i in range(3, 203):
         checker.store(LinearConstraint(((1, pos(1)), (1, pos(i))), 1))
     checker.store(LinearConstraint(((1, pos(1)), (1, pos(2))), 1))
     checker.store(LinearConstraint(((1, pos(1)), (1, neg(2))), 1))
     visits = _visits(checker)
-    assert checker.refutes(negation_of(LinearConstraint(((1, pos(1)),), 1)))
-    assert visits == [201, 200]
+    assert checker.derive(LinearConstraint(((1, pos(1)),), 1))
+    assert visits == [201, 200, 202]
 
 
 def test_rup_skips_a_constraint_that_a_true_literal_satisfies():
-    # assuming x2 and ~x3, x3 false does not wake x2 + x3 >= 1, which x2
-    # alone satisfies
+    # deriving ~x2 + x3 >= 1 assumes x2 and ~x3; x3 false does not wake
+    # x2 + x3 >= 1, which x2 alone satisfies
     checker = RupChecker()
     checker.store(LinearConstraint(((1, pos(2)), (1, pos(3))), 1))
     visits = _visits(checker)
-    assert not checker.refutes(LinearConstraint(((1, pos(2)), (1, neg(3))), 2))
+    assert not checker.derive(LinearConstraint(((1, neg(2)), (1, pos(3))), 1))
     assert visits == []
 
 
 def test_rup_attaches_an_assumption_that_keeps_a_free_literal():
-    # 2 x1 + x2 + x3 >= 3 forces x1 and leaves x2 and x3 free, so it is
-    # attached: x1 makes x3 false, which wakes it to force x2, and then
-    # ~x1 + ~x2 has no true literal left
+    # the assumption 2 x1 + x2 + x3 >= 3, the negation of the derived step,
+    # forces x1 and leaves x2 and x3 free, so it is attached: x1 makes x3
+    # false, which wakes it to force x2, and then ~x1 + ~x2 has no true
+    # literal left; storing the step then visits it, at index 2
     checker_type, paths = _path_counting_checker()
     checker = checker_type()
     stored = [
@@ -566,20 +574,20 @@ def test_rup_attaches_an_assumption_that_keeps_a_free_literal():
         checker.store(c)
     assumption = LinearConstraint(((2, pos(1)), (1, pos(2)), (1, pos(3))), 3)
     visits = _visits(checker)
-    assert checker.refutes(assumption)
+    assert checker.derive(negation_of(assumption))
     assert root_fixpoint(stored + [assumption]) is None
-    assert visits == [1, 2, 0] and paths == {"attached": 1}
+    assert visits == [1, 2, 0, 2] and paths == {"attached": 1}
     # alone it forces x1 and propagates to a fixpoint, still attached, and
     # is not visited again since none of its literals becomes false
     alone = checker_type()
     visits = _visits(alone)
-    assert not alone.refutes(assumption)
+    assert not alone.derive(negation_of(assumption))
     assert root_fixpoint([assumption]) is not None
     assert visits == [] and paths == {"attached": 2}
     # 2 x1 + x3 >= 2 with x3 true at the root forces x1 and leaves no literal
     # free, so it is not attached
     alone.store(LinearConstraint(((1, pos(3)),), 1))
-    assert not alone.refutes(LinearConstraint(((2, pos(1)), (1, pos(3))), 2))
+    assert not alone.derive(negation_of(LinearConstraint(((2, pos(1)), (1, pos(3))), 2)))
     assert paths == {"attached": 2, "unattached": 1}
     # the negation of x1 + x2 + x3 >= 2 forces nothing, so it is not
     # attached either: the snapshot stays a fixpoint
@@ -589,11 +597,14 @@ def test_rup_attaches_an_assumption_that_keeps_a_free_literal():
     assert paths == {"attached": 2, "unattached": 2}
 
 
-def test_refutes_leaves_the_checker_as_it_was():
-    # whatever the verdict and the path, and also when the assumption names
-    # variables that no stored constraint has, a check changes none of the
-    # state; so does a failed derive of the assumption's negation, which a
-    # copy of the checker runs
+def test_a_failed_derive_leaves_the_checker_as_it_was():
+    # whatever the path, and also when the step names variables that no
+    # stored constraint has, a failed derive, run on a copy of the checker,
+    # changes neither the stored constraints nor their root fixpoint, and
+    # each literal keeps its occurrences, new variables having none; the
+    # copy is then checked on, and each of its verdicts equals that of a
+    # fresh checker over the same stored constraints; the paths of both
+    # checkers' checks are counted
     rng = random.Random(11)
     checker_type, paths = _path_counting_checker()
     verdicts = {True: 0, False: 0}
@@ -601,20 +612,30 @@ def test_refutes_leaves_the_checker_as_it_was():
     for _ in range(300):
         n = rng.randint(1, 6)
         checker = checker_type()
+        stored = []
         for _ in range(rng.randint(0, 5)):
-            checker.store(random_constraint(rng, n, max_terms=4))
+            stored.append(random_constraint(rng, n, max_terms=4))
+            checker.store(stored[-1])
         for _ in range(3):
             assumption = random_constraint(rng, n + 2, max_terms=4)
-            before = copy.deepcopy(vars(checker))
-            verdict = checker.refutes(assumption)
-            verdicts[verdict] += 1
-            assert vars(checker) == before
-            new_variables += assumption.max_var() > n
+            step = negation_of(assumption)
             trial = copy.deepcopy(checker)
-            assert trial.derive(negation_of(assumption)) == verdict
+            verdict = trial.derive(step)
+            fresh = checker_type()
+            for c in stored:
+                fresh.store(c)
+            assert fresh.derive(step) == verdict
+            verdicts[verdict] += 1
+            new_variables += assumption.max_var() > n
             if not verdict:
-                assert vars(trial) == before
+                for name in ("_cons", "_false", "_sat", "_conflict"):
+                    assert getattr(trial, name) == getattr(checker, name), name
+                for name in ("_occ", "_sat_by"):
+                    kept = getattr(checker, name)
+                    grown = getattr(trial, name)
+                    assert grown[:len(kept)] == kept and not any(grown[len(kept):]), name
                 failed_derives += assumption.max_var() > n
+                checker = trial
     assert min(verdicts.values()) > 300 and new_variables > 500, (verdicts, new_variables)
     assert failed_derives > 300, failed_derives
     assert min(paths["attached"], paths["unattached"]) > 60, paths
@@ -699,3 +720,107 @@ def test_parsing_many_variables_keeps_the_token_caches_bounded():
         info = cache.cache_info()
         assert info.maxsize == bound
         assert info.currsize <= bound
+
+
+# -- the whole-proof reference ---------------------------------------------------
+
+
+def _random_proof(rng):
+    """A formula of clauses and general constraints over at most 6
+    variables, and a parsed random proof of l, u, p and c lines against it.
+    Most proofs load the whole formula and end in ``u >= 1 ;`` and a claim
+    on the last id, so propagation refutes the formula in many of them;
+    the others fail at some step, often a u step, an unassigned id or an
+    out-of-range load."""
+    n = rng.randint(1, 6)
+    draws = (random_clause, random_constraint)
+    cons = tuple(rng.choice(draws)(rng, n) for _ in range(rng.randint(2, 8)))
+    lines = ["pseudo-Boolean proof version 1.0"]
+    ids = 0
+    if rng.random() < 0.7:
+        lines += [f"l {i}" for i in range(1, len(cons) + 1)]
+        ids = len(cons)
+    for _ in range(rng.randint(0, 6)):
+        roll = rng.random()
+        if roll < 0.3:
+            lines.append(f"l {rng.randint(1, len(cons) + 1)}")
+        elif roll < 0.6:
+            lines.append(f"u {rng.choice(draws)(rng, n + 1)} ;")
+        elif ids:
+            rpn = [str(rng.randint(1, ids + 1))]
+            for _ in range(rng.randint(0, 2)):
+                literal = rng.choice(("x", "~x")) + str(rng.randint(1, n))
+                rpn += [str(rng.randint(1, ids)) if rng.random() < 0.5 else literal, "+"]
+            if rng.random() < 0.3:
+                rpn += [str(rng.randint(0, 3)), rng.choice("*d")]
+            if rng.random() < 0.3:
+                rpn.append("s")
+            lines.append("p " + " ".join(rpn) + " 0")
+        else:
+            continue
+        ids += 1
+    if rng.random() < 0.7:
+        lines.append("u >= 1 ;")
+        ids += 1
+    if rng.random() < 0.9:
+        lines.append(f"c {max(ids, 1) if rng.random() < 0.8 else rng.randint(1, ids + 1)} 0")
+    return PBFormula(n, cons), parse_proof("\n".join(lines))
+
+
+def _outcome(check, f, steps):
+    """("accepted", contradiction id, steps checked) or ("rejected", line, rule)."""
+    try:
+        return ("accepted", *check(f, steps)[:2])
+    except VerifyError as exc:
+        return ("rejected", exc.line_no, exc.rule)
+
+
+def test_verify_agrees_with_the_reference_verifier():
+    rng = random.Random(31)
+    tally = Counter()
+    for _ in range(2000):
+        f, steps = _random_proof(rng)
+        outcome = _outcome(verify, f, steps)
+        assert outcome == _outcome(reference_verify, f, steps), (f, steps)
+        tally[outcome[0] if outcome[0] == "accepted" else outcome[2]] += 1
+    assert min(tally["accepted"], tally["u"]) >= 100, tally
+    assert min(tally[rule] for rule in ("l", "c", "reference", "*", "d")) >= 10, tally
+
+
+def test_the_checkers_root_state_is_the_reference_fixpoint(monkeypatch):
+    # after every store and every successful derive, the checker's root
+    # state, None once the stored constraints conflict and otherwise the
+    # values its false literal bits give their variables, equals
+    # root_fixpoint over the constraints it holds
+    compared = Counter()
+
+    class ComparingChecker(RupChecker):
+        def __init__(self):
+            super().__init__()
+            self.held = []
+
+        def store(self, c):
+            super().store(c)
+            self._compare(c)
+
+        def derive(self, c):
+            refuted = super().derive(c)
+            if refuted:
+                self._compare(c)
+            return refuted
+
+        def _compare(self, c):
+            self.held.append(c)
+            state = None if self._conflict else {
+                var: 0 if self._false >> b & 1 else 1
+                for var, b in self._bit.items()
+                if self._false >> b & 3
+            }
+            assert state == root_fixpoint(self.held), self.held
+            compared[state is None] += 1
+
+    monkeypatch.setattr(proof_module, "RupChecker", ComparingChecker)
+    rng = random.Random(32)
+    for _ in range(2000):
+        _outcome(verify, *_random_proof(rng))
+    assert min(compared.values()) > 1000, compared

@@ -6,8 +6,8 @@ import time
 import numpy as np
 import pytest
 
+from reference import models, negation_of, root_fixpoint
 from sbgkit.encode import (
-    Assignment,
     LinearConstraint,
     Literal,
     PBFormula,
@@ -24,7 +24,6 @@ from sbgkit.solve import (
     _Search,
     _search_for,
     enumerate_all,
-    root_fixpoint,
     solve,
 )
 
@@ -40,15 +39,6 @@ def random_formula(rng, n, m):
     return PBFormula(n, tuple(cons))
 
 
-def brute_force_models(f):
-    out = set()
-    for values in itertools.product((0, 1), repeat=f.num_vars):
-        a = Assignment.total(values)
-        if f.satisfied_by(a):
-            out.add(values)
-    return out
-
-
 def test_single_positive_unit():
     f = PBFormula(1, (LinearConstraint(((1, pos(1)),), 1),))
     res = solve(f)
@@ -60,7 +50,7 @@ def test_example_formula_unsat():
     f = parse_opb(EXAMPLE_UNSAT_OPB)
     res = solve(f)
     assert res.status == "UNSAT"
-    assert brute_force_models(f) == set()
+    assert models(f.constraints, f.num_vars) == set()
 
 
 def test_empty_formula_is_sat():
@@ -90,9 +80,8 @@ def test_agrees_with_brute_force_up_to_12_vars():
     for trial in range(60):
         n = rng.randint(1, 12) if trial % 3 else 12
         f = random_formula(rng, n, rng.randint(1, 10))
-        models = brute_force_models(f)
         res = solve(f)
-        assert res.is_sat == bool(models)
+        assert res.is_sat == bool(models(f.constraints, n))
 
 
 def test_enumerate_two_var_clause():
@@ -113,7 +102,7 @@ def test_enumerate_matches_brute_force():
     for _ in range(60):
         f = random_formula(rng, 4, rng.randint(1, 6))
         sols = enumerate_all(f)
-        assert {a.values for a in sols} == brute_force_models(f)
+        assert {a.values for a in sols} == models(f.constraints, 4)
         assert len({a.values for a in sols}) == len(sols)
 
 
@@ -125,7 +114,7 @@ def test_enumerate_projection():
         sols = enumerate_all(f, projection=proj)
         expected = {
             tuple(values[v - 1] for v in proj)
-            for values in brute_force_models(f)
+            for values in models(f.constraints, 5)
         }
         got = {tuple(a.value(v) for v in proj) for a in sols}
         assert got == expected
@@ -143,7 +132,7 @@ def test_enumerate_any_projection_matches_brute_force():
         f = random_formula(rng, n, rng.randint(1, 8))
         proj = sorted(rng.sample(range(1, n + 1), rng.randint(0, n)))
         got = [tuple(a.value(v) for v in proj) for a in enumerate_all(f, projection=proj)]
-        expected = {tuple(values[v - 1] for v in proj) for values in brute_force_models(f)}
+        expected = {tuple(values[v - 1] for v in proj) for values in models(f.constraints, n)}
         assert sorted(got) == sorted(expected)
 
 
@@ -203,8 +192,8 @@ SBG_EXACT_10_ORDER = [
 
 def test_sbg_models_arrive_in_a_fixed_order():
     sbg = build_sbg()
-    models = enumerate_all(encode_ics(sbg, 10, exact=True))
-    assert [a.code_mask() for a in models] == SBG_EXACT_10_ORDER
+    codes = enumerate_all(encode_ics(sbg, 10, exact=True))
+    assert [a.code_mask() for a in codes] == SBG_EXACT_10_ORDER
     assert solve(encode_ics(sbg, 10)).witness.code_mask() == SBG_EXACT_10_ORDER[0]
 
 
@@ -289,7 +278,7 @@ def _reference_branch(cons, value):
     best = min(unsat, key=lambda i: (len(free(i)), i))
     lit = max(  # the first of the best-scored literals
         free(best),
-        key=lambda lit: sum(lit.var in attached[i].support() for i in unsat),
+        key=lambda lit: sum(lit.var in tuple(t.var for _, t in attached[i].terms) for i in unsat),
     )
     return (lit.var - 1, lit.negated)
 
@@ -303,13 +292,13 @@ def test_root_fixpoint_agrees_with_brute_force():
         n = rng.randint(1, 6)
         cons = mixed_constraints(rng, n, rng.randint(0, 3))
         fix = root_fixpoint(cons)
-        models = brute_force_models(PBFormula(n, tuple(cons)))
+        found = models(cons, n)
         if fix is None:
-            assert not models, cons
+            assert not found, cons
         else:
-            for values in models:
+            for values in found:
                 assert all(values[v - 1] == b for v, b in fix.items()), (cons, fix)
-            forcing_with_models += bool(fix and models)
+            forcing_with_models += bool(fix and found)
         outcomes[fix is None] += 1
     assert min(outcomes.values()) > 800 and forcing_with_models > 500, (
         outcomes, forcing_with_models
@@ -536,23 +525,23 @@ def test_packing_bound_is_sound_against_brute_force(monkeypatch):
         table = np.arange(1 << n)[:, None] >> np.arange(n) & 1  # row r is x_{v+1} = bit v of r
         holds.clear()
         f = hitting_set_formula(rng, n)
-        models = {tuple(row.tolist()) for row in table[models_of(f.constraints)]}
+        truth = {tuple(row.tolist()) for row in table[models_of(f.constraints)]}
         res = solve(f)
-        assert res.is_sat == bool(models)
-        assert {a.values for a in enumerate_all(f)} == models
+        assert res.is_sat == bool(truth)
+        assert {a.values for a in enumerate_all(f)} == truth
     assert len(fired) > 300 and max(fired) >= 4, (len(fired), max(fired))
     assert len(fixings) > 300 and max(fixings) >= 4, (len(fixings), max(fixings))
 
 
 def _sum_refutes(used, true):
     """The sum of the at-most constraint and its packing, stored alone in a
-    fresh RUP checker, refutes the true literals."""
+    fresh RUP checker, refutes the true literals: it derives their negation."""
     total = used[0]
     for c in used[1:]:
         total = add(total, c)
     checker = RupChecker()
     checker.store(total)
-    return checker.refutes(LinearConstraint(tuple((1, lit) for lit in true), len(true)))
+    return checker.derive(negation_of(LinearConstraint(tuple((1, lit) for lit in true), len(true))))
 
 
 def test_each_bound_leaf_is_one_cutting_planes_sum(monkeypatch):
