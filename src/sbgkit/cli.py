@@ -23,8 +23,7 @@ from .encode import (
     EncodeError,
     OpbError,
     _TooLong,
-    _is_digits,
-    _to_int,
+    _read_literal,
     encode_ics,
     parse_opb,
     write_opb,
@@ -115,11 +114,12 @@ def _parse_projection(f, selector: str | None) -> list[int] | None:
     want = [s.strip() for s in selector.split(",") if s.strip()]
     out = []
     for token in want:
-        if token.startswith("x") and _is_digits(token[1:]):
-            try:
-                out.append(_to_int(token[1:]))
-            except _TooLong as exc:
-                raise EncodeError(f"projection variable: {exc}") from None
+        try:
+            lit = _read_literal(token)
+        except _TooLong as exc:
+            raise EncodeError(f"projection variable: {exc}") from None
+        if lit and not lit.negated:
+            out.append(lit.var)
         elif f.names and token in f.names:
             out.append(f.names.index(token) + 1)
         else:

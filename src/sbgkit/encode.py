@@ -448,9 +448,9 @@ def parse_opb(text: str) -> PBFormula:
                     continue
                 parts = line.split()
                 if len(parts) == 4 and parts[1] == "name":
-                    vm = _VAR_RE.match(parts[2])
-                    if vm and not vm.group(1):
-                        names[_to_int(vm.group(2))] = parts[3]
+                    lit = _read_literal(parts[2])
+                    if lit and not lit.negated:
+                        names[lit.var] = parts[3]
             except _TooLong as exc:
                 raise OpbError(line_no, str(exc)) from None
             continue

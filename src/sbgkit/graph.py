@@ -59,16 +59,13 @@ class Graph:
         if n < 0:
             raise GraphError(f"node count must be nonnegative, got {n}")
         adj = [0] * n
-        seen = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise GraphError(f"self-loop at node {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise GraphError(f"duplicate edge ({key[0]}, {key[1]})")
-            seen.add(key)
+            if adj[u] >> v & 1:
+                raise GraphError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         names = tuple(f"v{i + 1}" for i in range(n)) if names is None else tuple(names)
@@ -124,11 +121,10 @@ class Graph:
 
     def distinguishing_set(self, u: int, v: int) -> int:
         """Symmetric difference of the closed neighborhoods of *u* and *v*."""
-        self._check(u)
-        self._check(v)
+        nu, nv = self.closed_neighborhood(u), self.closed_neighborhood(v)
         if u == v:
             raise GraphError("distinguishing set requires two distinct nodes")
-        return self.closed_neighborhood(u) ^ self.closed_neighborhood(v)
+        return nu ^ nv
 
     # -- names -------------------------------------------------------------
 

@@ -101,7 +101,7 @@ def _level(words, k: int):
             cur[: math.comb(j, level - 1)] | words[j]
             for j in range(level - 1, n - k + level)
         ]
-        cur = np.concatenate(parts) if parts else np.zeros(0, dtype=words.dtype)
+        cur = np.concatenate(parts)
     return cur
 
 
@@ -303,24 +303,18 @@ def count_ics(
 
     dtype = _mask_dtype(n)
     nb = np.array([g.closed_neighborhood(v) for v in range(n)], dtype=dtype)
-    solutions: list[int] | None = [] if collect else None
-    if n == 0:
-        # the empty code identifies the empty graph (at k = 0 < n the scan counts 0)
-        return 1, [0] if collect else None
-
-    total, found = 0, []
+    total, found = 0, [np.zeros(0, dtype=dtype)]
     for cand in _survivors(g, k, dtype):
         sig = cand[:, None] & nb[None, :]
         sig.sort(axis=1)
-        # nonempty and pairwise distinct, whatever the pool held
-        good = (sig[:, 0] != 0) & (sig[:, 1:] != sig[:, :-1]).all(axis=1)
+        # nonempty and pairwise distinct, whatever the pool held (with no
+        # nodes, the empty code identifies the empty graph)
+        good = sig[:, :1].all(axis=1) & (sig[:, 1:] != sig[:, :-1]).all(axis=1)
         total += int(good.sum())
         if collect:
             found.append(cand[good])
-    if collect and found:
-        # colex order is increasing mask order; tolist() gives Python ints
-        solutions = np.sort(np.concatenate(found)).tolist()
-    return total, solutions
+    # colex order is increasing mask order; tolist() gives Python ints
+    return total, np.sort(np.concatenate(found)).tolist() if collect else None
 
 
 def min_ics_size(g: Graph, k_max: int) -> int | None:

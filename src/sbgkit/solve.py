@@ -115,28 +115,26 @@ class _Search:
 
     Each clause's count of unassigned variables is kept bit-sliced in
     ``cnt``, a list of constraint masks: bit ``ci`` of ``cnt[i]`` is bit
-    ``i`` of clause ``ci``'s count, and there are as many slices as the
-    longest clause's length needs.  ``_make_true`` decrements the counts of
-    the clauses on each variable it assigns.  So ``_smallest`` finds the
-    open clauses of the least count with one mask operation per slice:
-    propagation reads conflicts (count 0) and units (count 1) from it, the
-    packing bound takes its clauses one count at a time, and branching
-    takes the lowest clause of the least count.  Summed constraints are
-    propagated one by one from their slack.
+    ``i`` of clause ``ci``'s count, and there are as many slices as
+    ``num_vars`` needs, since no clause is longer.  ``_make_true``
+    decrements the counts of the clauses on each variable it assigns.  So
+    ``_smallest`` finds the open clauses of the least count with one mask
+    operation per slice: propagation reads conflicts (count 0) and units
+    (count 1) from it, the packing bound takes its clauses one count at a
+    time, and branching takes the lowest clause of the least count.  Summed
+    constraints are propagated one by one from their slack.
 
     A trail entry is the mask of the literals it made true plus ``false``,
     ``assigned``, ``sat`` and ``cnt`` from before it, so an undo restores a
     snapshot.  A constraint attached mid-search patches every snapshot: its
-    ``sat`` bit where a true literal satisfies it, and a clause its count,
-    with a zero slice added to each when the clause is longer than the
-    slices can count.
+    ``sat`` bit where a true literal satisfies it, and a clause its count.
     """
 
     def __init__(self, num_vars: int):
         self.num_vars = num_vars
         self.even = ((1 << 2 * num_vars) - 1) // 3  # the plain literals
         self.false = self.assigned = self.sat = 0
-        self.cnt: list[int] = []  # the clauses' counts of unassigned variables, bit-sliced
+        self.cnt = [0] * num_vars.bit_length()  # each clause's unassigned count, bit-sliced
         self.trail: list[tuple[int, int, int, int, list[int]]] = []
         self.stats = SolveStats()
         self.lits: list[list[int]] = []  # literals in term order, for branching
@@ -195,21 +193,19 @@ class _Search:
                 self.packable.append(packable)
         # sat and the clause's count follow from the assignment, also in the
         # trail's snapshots
-        pad = [0] * (len(lits).bit_length() - len(self.cnt)) if clause else []
         for i, (made, false, assigned, sat, cnt) in enumerate(self.trail):
             if satisfying & assigned & ~false:
                 self.trail[i] = (made, false, assigned, sat | bit, cnt)
             if clause:
-                self._count(cnt, pad, bit, mask & ~assigned)
+                self._count(cnt, bit, mask & ~assigned)
         if satisfying & self.assigned & ~self.false:
             self.sat |= bit
         if clause:
-            self._count(self.cnt, pad, bit, mask & ~self.assigned)
+            self._count(self.cnt, bit, mask & ~self.assigned)
 
     @staticmethod
-    def _count(cnt: list[int], pad: list[int], bit: int, free: int) -> None:
-        """Pad the slices *cnt* and give clause *bit* the count of the literals *free*."""
-        cnt += pad
+    def _count(cnt: list[int], bit: int, free: int) -> None:
+        """Give clause *bit* in the slices *cnt* the count of the literals *free*."""
         count = free.bit_count()
         for i in range(count.bit_length()):
             if count >> i & 1:

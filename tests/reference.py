@@ -7,12 +7,19 @@ constraint, and ``reference_verify`` replays a whole proof, checking each
 search engine or the proof verifier's RUP checker, so a bug in one
 propagator cannot make the solver, the checker and their tests agree
 wrongly.
+
+``truncated_icosahedron_faces`` builds the soccer ball graph from the
+icosahedron's coordinates, and ``isomorphisms`` maps one graph onto
+another, so the hand-written SBG table is held to geometry rather than to
+counts that many graphs share.  ``implied_by_definition`` checks one
+encoded constraint against the definition of an identifying code, without
+the encoder.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from sbgkit.encode import Assignment, LinearConstraint, Literal, PBFormula, evaluate, normalize
 from sbgkit.graph import Graph
@@ -119,3 +126,101 @@ def example_graph() -> Graph:
         (9, 2), (9, 3),
     ]
     return Graph(10, pairs)
+
+
+def truncated_icosahedron_faces() -> Graph:
+    """The face graph of the truncated icosahedron: 12 pentagons (nodes
+    0..11) and 20 hexagons (nodes 12..31), adjacent when the faces share an
+    edge.
+
+    Truncation turns each vertex of the icosahedron into a pentagon and each
+    triangle into a hexagon.  The vertices are the cyclic permutations of
+    (0, +-1, +-phi), adjacent at squared distance 4; a pentagon meets a
+    hexagon when its vertex lies on the triangle, and two hexagons meet
+    when their triangles share an edge.
+    """
+    phi = (1 + 5 ** 0.5) / 2
+    verts = [
+        base[r:] + base[:r]
+        for a, b in itertools.product((1, -1), repeat=2)
+        for base in [(0, a, b * phi)]
+        for r in range(3)
+    ]
+    edges = {
+        (i, j) for i, j in itertools.combinations(range(12), 2)
+        if round(sum((x - y) ** 2 for x, y in zip(verts[i], verts[j]))) == 4
+    }
+    triangles = [
+        t for t in itertools.combinations(range(12), 3)
+        if all(pair in edges for pair in itertools.combinations(t, 2))
+    ]
+    out = [(v, 12 + h) for h, t in enumerate(triangles) for v in t]
+    out += [
+        (12 + h, 12 + i)
+        for (h, s), (i, t) in itertools.combinations(enumerate(triangles), 2)
+        if len(set(s) & set(t)) == 2
+    ]
+    return Graph(12 + len(triangles), out)
+
+
+def isomorphisms(g: Graph, h: Graph) -> Iterator[tuple[int, ...]]:
+    """Every isomorphism of *g* onto *h*, as the tuple of the images of g's
+    nodes.
+
+    A backtracking search over adjacency bitmasks: g's nodes are mapped in
+    breadth-first order, each to an unused node of h of the same degree
+    that is adjacent to exactly the images of its mapped neighbours.
+    """
+    n = g.n
+    if h.n != n:
+        return
+    order: list[int] = []
+    for start in range(n):
+        if start not in order:
+            order.append(start)
+            for u in order:  # read as it grows, so breadth-first
+                order += [v for v in range(n) if g.neighbors(u) >> v & 1 and v not in order]
+    image = [-1] * n
+
+    def extend(i: int, used: int) -> Iterator[tuple[int, ...]]:
+        if i == n:
+            yield tuple(image)
+            return
+        u = order[i]
+        cand = sum(1 << w for w in range(n) if h.degree(w) == g.degree(u)) & ~used
+        for x in order[:i]:
+            near = h.neighbors(image[x])
+            cand &= near if g.neighbors(u) >> x & 1 else ~near
+        for w in range(n):
+            if cand >> w & 1:
+                image[u] = w
+                yield from extend(i + 1, used | 1 << w)
+
+    yield from extend(0, 0)
+
+
+def implied_by_definition(
+    g: Graph, c: LinearConstraint, budget: int, exact: bool = False
+) -> bool:
+    """True when *c*, over x1..xn for g's nodes 0..n-1, holds for every
+    identifying code of *g* of size at most *budget* (exactly *budget* when
+    *exact* is set), by one of three rules read off the definition.
+
+    A clause of plain literals over a node set S holds when S contains
+    some N[v] (every node is dominated) or some N[u] ^ N[v] with u != v
+    (every pair is separated).  "At most budget" holds as
+    ``sum ~x >= n - budget`` over all n variables, and "at least budget",
+    its plain mirror, only when *exact* is set.  Anything else is rejected.
+    """
+    n = g.n
+    terms = {(coef, lit.var, lit.negated) for coef, lit in c.terms}
+    if terms == {(1, v, True) for v in range(1, n + 1)}:
+        return c.degree == n - budget
+    if terms == {(1, v, False) for v in range(1, n + 1)} and c.degree == budget:
+        return exact
+    if c.degree != 1 or any(coef != 1 or negated for coef, _, negated in terms):
+        return False
+    outside = ~sum(1 << var - 1 for _, var, _ in terms)
+    nb = [g.closed_neighborhood(v) for v in range(n)]
+    must_hit = nb + [nb[u] ^ nb[v] for u, v in itertools.combinations(range(n), 2)]
+    return any(not m & outside for m in must_hit)

@@ -183,6 +183,15 @@ def test_enumerate_projects_onto_node_names(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("token", ["x01", "x0"])
+def test_enumerate_projection_reads_ids_as_opb_does(tmp_path, capsys, token):
+    # no OPB file or proof can name x01 or x0, so neither names a projection variable
+    opb = tmp_path / "tiny.opb"
+    opb.write_text("* #variable= 2 #constraint= 1\n+1 x1 >= 1 ;\n")
+    assert main(["enumerate", str(opb), "--project", token]) == 2
+    assert capsys.readouterr().err == f"malformed input: unknown projection variable {token!r}\n"
+
+
 @pytest.mark.parametrize("command,layer,fn", [
     ("solve", "solve", solve),
     ("enumerate", "enumerate_all", enumerate_all),

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import random_graph
-from reference import models
+from reference import implied_by_definition, models
 from sbgkit.encode import (
     Assignment,
     EncodeError,
@@ -353,6 +353,34 @@ def test_opb_rejects_an_incomplete_name_table():
         parse_opb("* #variable= 2 #constraint= 0\n* name x1 a\n")
     with pytest.raises(OpbError, match="incomplete variable name table"):
         parse_opb("* #variable= 1 #constraint= 0\n* name x1 a\n* name x2 b\n")
+
+
+def test_opb_ignores_name_lines_of_no_variable():
+    head = "* #variable= 1 #constraint= 0\n"
+    assert parse_opb(head + "* name x01 foo\n* name x1 a\n").names == ("a",)
+    assert parse_opb(head + "* name x01 foo\n").names is None
+
+
+def test_the_sbg_encoding_is_implied_by_the_definition(sbg):
+    for budget, exact, size in [(9, False, 273), (10, True, 274)]:
+        f = parse_opb(write_opb(encode_ics(sbg, budget, exact=exact)))
+        assert len(f.constraints) == size
+        assert all(implied_by_definition(sbg, c, budget, exact) for c in f.constraints)
+
+
+def test_the_definition_check_rejects_a_mutated_encoding(sbg):
+    f = encode_ics(sbg, 10, exact=True)
+    first, at_most, at_least = f.constraints[0], f.constraints[-2], f.constraints[-1]
+    assert len(first.terms) == 6  # N[P1_1]
+    for i in range(6):
+        dropped = LinearConstraint(first.terms[:i] + first.terms[i + 1:], 1)
+        assert not implied_by_definition(sbg, dropped, 10, True), i
+    for c in at_most, at_least:
+        for shift in (-1, 1):
+            assert not implied_by_definition(sbg, LinearConstraint(c.terms, c.degree + shift), 10, True)
+    assert not implied_by_definition(sbg, at_least, 10, False)
+    extra = LinearConstraint(tuple((1, pos(v)) for v in (1, 2, 3)), 1)
+    assert not implied_by_definition(sbg, extra, 10, True)
 
 
 def test_opb_name_table_round_trip(sbg):

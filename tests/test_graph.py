@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from conftest import random_graph
+from reference import isomorphisms, truncated_icosahedron_faces
 from sbgkit.graph import (
     EdgeListError,
     Graph,
@@ -25,6 +27,36 @@ def names_of(g, mask):
 def test_sbg_size(sbg):
     assert sbg.n == 32
     assert sbg.edge_count == 90
+
+
+def test_sbg_is_the_face_graph_of_the_truncated_icosahedron(sbg):
+    faces = truncated_icosahedron_faces()
+    assert (faces.n, faces.edge_count) == (32, 90)
+    assert [faces.degree(v) for v in range(32)] == [5] * 12 + [6] * 20
+    iso = next(isomorphisms(faces, sbg))
+    assert sorted(iso) == list(range(32))
+    assert {frozenset((iso[u], iso[v])) for u, v in faces.edges} == set(map(frozenset, sbg.edges))
+    # the pentagons are the 12 nodes named P
+    assert {sbg.node_name(iso[v])[0] for v in range(12)} == {"P"}
+
+
+def test_isomorphisms_match_a_search_over_all_permutations():
+    rng = random.Random(5)
+    found = 0
+    for _ in range(60):
+        n = rng.randint(0, 6)
+        g, h = random_graph(rng, n), random_graph(rng, n)
+        for other in (g, h):
+            edges = set(map(frozenset, other.edges))
+            brute = {
+                perm for perm in itertools.permutations(range(n))
+                if {frozenset((perm[u], perm[v])) for u, v in g.edges} == edges
+            }
+            maps = list(isomorphisms(g, other))
+            assert len(maps) == len(set(maps)) and set(maps) == brute
+            found += bool(brute) and other is h
+    assert found > 5, found
+    assert list(isomorphisms(Graph(2, []), Graph(3, []))) == []
 
 
 def test_sbg_degrees(sbg):
@@ -89,6 +121,18 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(0, 1), (1, 0)])
     with pytest.raises(GraphError, match="out of range"):
         Graph(3, [(0, 5)])
+
+
+def test_graph_rejects_an_endpoint_equal_to_n():
+    for edge in [(3, 0), (0, 3), (-1, 0), (0, -1)]:
+        with pytest.raises(GraphError, match=rf"^edge \({edge[0]}, {edge[1]}\) out of range for n=3$"):
+            Graph(3, [edge])
+
+
+def test_duplicate_edge_names_the_edge_in_order():
+    for edges in ([(0, 1), (1, 0)], [(1, 0), (0, 1)], [(1, 0), (1, 0)]):
+        with pytest.raises(GraphError, match=r"^duplicate edge \(0, 1\)$"):
+            Graph(2, edges)
 
 
 def test_graph_rejects_bad_node_counts_and_names():
@@ -180,6 +224,14 @@ def test_distinguishing_set_h2_pair(sbg):
 def test_distinguishing_set_rejects_equal_nodes(sbg):
     with pytest.raises(GraphError):
         sbg.distinguishing_set(3, 3)
+
+
+def test_distinguishing_set_reports_a_bad_node_before_equal_nodes(sbg):
+    for u, v in [(99, 99), (99, 0), (0, 99)]:
+        with pytest.raises(GraphError, match="^node 99 out of range for n=32$"):
+            sbg.distinguishing_set(u, v)
+    with pytest.raises(GraphError, match="^distinguishing set requires two distinct nodes$"):
+        sbg.distinguishing_set(1, 1)
 
 
 def test_out_of_range_queries(sbg):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import random_graph
-from reference import example_graph
+from reference import example_graph, isomorphisms
 from sbgkit.graph import Graph, GraphError, bits, mask_of, sbg_node
 from sbgkit.ics import (
     _mirror_permutation,
@@ -14,6 +14,7 @@ from sbgkit.ics import (
     motif_class_sets,
     signatures,
 )
+from sbgkit.oracle import count_ics
 
 
 def P(i, j=1):
@@ -274,3 +275,21 @@ def test_classify_motif_members():
     assert hist.counts == {"I": 1, "II": 10, "III": 10, "IV": 5}
     assert hist.unmatched == []
     assert hist.matched[motifs[0].members].family == "I"
+
+
+def test_the_26_codes_are_two_orbits_of_the_120_automorphisms(sbg):
+    auts = set(isomorphisms(sbg, sbg))
+    assert len(auts) == 120
+    assert {_rotation_permutation(), _mirror_permutation()} <= auts
+    edges = set(map(frozenset, sbg.edges))
+    for perm in auts:
+        assert {frozenset((perm[u], perm[v])) for u, v in sbg.edges} == edges
+    _, codes = count_ics(sbg, 10, collect=True)
+    orbits = {frozenset(mask_of(perm[v] for v in bits(code)) for perm in auts) for code in codes}
+    assert set().union(*orbits) == set(codes)
+    families = {
+        orbit: frozenset(classify_solutions(list(orbit)).counts) for orbit in orbits
+    }
+    assert sorted((len(orbit), sorted(fam)) for orbit, fam in families.items()) == [
+        (6, ["I", "IV"]), (20, ["II", "III"]),
+    ]

@@ -488,6 +488,10 @@ def test_min_size_trivia():
     assert min_ics_size(example_graph(), 4) <= 4
 
 
+def test_the_empty_graph_has_one_code_uncollected():
+    assert count_ics(Graph(0, []), 0) == (1, None)
+
+
 def test_min_size_none_when_cap_too_small():
     g = example_graph()
     floor = min_ics_size(g, g.n)

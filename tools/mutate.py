@@ -55,6 +55,10 @@ EQUIVALENT = [
      "the reset after a flush, whose leaf is appended next: size counts one "
      "mask too many, so later batches flush one mask early, still hold 1 to "
      "_CHUNK masks and lose none"),
+    ("src/sbgkit/oracle.py", "count_ics",
+     "good = sig[:, :1].all(axis=1) & (sig[:, 1:] != sig[:, :-1]).all(axis=1)", 0,
+     "good = sig[:, :2].all(axis=1) & (sig[:, 1:] != sig[:, :-1]).all(axis=1)",
+     "each row is sorted, so its second signature is nonzero whenever its first is"),
     ("src/sbgkit/graph.py", "parse_edge_list", "line = raw.split('#', 1)[0].strip()", 0,
      "line = raw.split('#', 2)[0].strip()",
      "the text before the first '#' is the same whatever the later splits"),
